@@ -61,34 +61,42 @@ def _report_json(report: decls.CheckReport) -> dict:
     }
 
 
-def _cmd_check(args) -> int:
-    prims = shapes.load_prim_table(args.prims) if args.prims else shapes.default_prim_table()
+def _per_file(args, report) -> int:
+    """Run `report(path, text)` on each input file in order. It returns the
+    file's output lines and exit code; the lines are printed under a
+    `# path` header when there are several files and the output is text.
+    The result is the highest exit code."""
     code = 0
     for path in args.files:
         with open(path, "r", encoding="utf-8") as f:
-            text = f.read()
-        ds = decls.parse_decls(text, prims)
-        reports = decls.check_decls(ds, prims)
+            lines, file_code = report(path, f.read())
+        if len(args.files) > 1 and not getattr(args, "json", False):
+            print(f"# {path}")
+        for line in lines:
+            print(line)
+        code = max(code, file_code)
+    return code
+
+
+def _cmd_check(args) -> int:
+    prims = shapes.load_prim_table(args.prims) if args.prims else shapes.default_prim_table()
+
+    def report(path, text):
+        reports = decls.check_decls(decls.parse_decls(text, prims), prims)
+        code = int(any(not isinstance(r, decls.Accepted) for r in reports))
         if args.json:
             doc = {"schema": 1, "file": path, "decls": [_report_json(r) for r in reports]}
-            print(json.dumps(doc))
-        else:
-            if len(args.files) > 1:
-                print(f"# {path}")
-            for r in reports:
-                print("\n".join(_report_lines(r)))
-        if any(not isinstance(r, decls.Accepted) for r in reports):
-            code = 1
-    return code
+            return [json.dumps(doc)], code
+        return [line for r in reports for line in _report_lines(r)], code
+
+    return _per_file(args, report)
 
 
 def _cmd_norm(args) -> int:
     mode = calculus.Mode.CLOSED_HIGHER_ORDER if args.higher_order else calculus.Mode.FIRST_ORDER
     strategy = _strategy(args.strategy)
-    code = 0
-    for path in args.files:
-        with open(path, "r", encoding="utf-8") as f:
-            text = f.read()
+
+    def report(path, text):
         program = calculus.parse_program(text, mode)
         lines: list[str] = []
         measure_ok = True
@@ -109,6 +117,7 @@ def _cmd_norm(args) -> int:
                 lines.append(f"  measure: {measure.render_tree_measure(measure.tree_measure(start, mode))}")
         hook = on_step if (args.trace or args.check_measure) else None
         outcome = calculus.normalize(program, strategy, max_steps=args.max_steps, on_step=hook)
+        code = 0
         if isinstance(outcome, calculus.Normal):
             verdict = {"verdict": "normal",
                        "normal_form": calculus.render_term(outcome.term, mode),
@@ -122,53 +131,43 @@ def _cmd_norm(args) -> int:
                        "steps": outcome.steps}
             text_out = [f"diverges: {w.name} blocked with trace [{','.join(w.trace)}]",
                         f"steps: {outcome.steps}"]
-            code = max(code, 1)
+            code = 1
         if args.check_measure:
             verdict["measure_ok"] = measure_ok
             text_out.append(f"measure: {'ok' if measure_ok else 'VIOLATION'}")
             if not measure_ok:
                 code = 2
         if args.json:
-            print(json.dumps({"schema": 1, "file": path, **verdict}))
-        else:
-            if len(args.files) > 1:
-                print(f"# {path}")
-            for line in lines:
-                print(line)
-            for line in text_out:
-                print(line)
-    return code
+            return [json.dumps({"schema": 1, "file": path, **verdict})], code
+        return lines + text_out, code
+
+    return _per_file(args, report)
 
 
 def _cmd_cpp(args) -> int:
-    for path in args.files:
-        with open(path, "r", encoding="utf-8") as f:
-            defs, call = cppmacro.parse_macro_file(f.read())
+    def report(path, text):
+        defs, call = cppmacro.parse_macro_file(text)
         out = cppmacro.expand(call, defs)
-        print(cppmacro.render_tokens(out, show_hide_sets=args.show_hidesets))
-    return 0
+        return [cppmacro.render_tokens(out, show_hide_sets=args.show_hidesets)], 0
+
+    return _per_file(args, report)
 
 
 def _cmd_compare_cpp(args) -> int:
-    code = 0
-    for path in args.files:
-        with open(path, "r", encoding="utf-8") as f:
-            defs, call = cppmacro.parse_macro_file(f.read())
-        report = cppmacro.compare_first_order(defs, call)
+    def report(path, text):
+        defs, call = cppmacro.parse_macro_file(text)
+        r = cppmacro.compare_first_order(defs, call)
+        code = 0 if r.agrees else 1
         if args.json:
-            print(json.dumps({"schema": 1, "file": path, "agrees": report.agrees,
-                              "outcome": report.outcome, "cpp_output": report.cpp_output,
-                              "calculus": report.calculus_outcome, "detail": report.detail}))
-        else:
-            if len(args.files) > 1:
-                print(f"# {path}")
-            print(f"agreement: {'yes' if report.agrees else 'NO'} ({report.outcome})")
-            print(f"cpp: {report.cpp_output}")
-            print(f"calculus: {report.calculus_outcome}")
-            print(f"detail: {report.detail}")
-        if not report.agrees:
-            code = 1
-    return code
+            return [json.dumps({"schema": 1, "file": path, "agrees": r.agrees,
+                                "outcome": r.outcome, "cpp_output": r.cpp_output,
+                                "calculus": r.calculus_outcome, "detail": r.detail})], code
+        return [f"agreement: {'yes' if r.agrees else 'NO'} ({r.outcome})",
+                f"cpp: {r.cpp_output}",
+                f"calculus: {r.calculus_outcome}",
+                f"detail: {r.detail}"], code
+
+    return _per_file(args, report)
 
 
 def _cmd_selftest(args) -> int:
@@ -235,6 +234,9 @@ def main(argv: list[str] | None = None) -> int:
     except (calculus.LamError, decls.DeclError, cppmacro.MacroError, ValueError, OSError) as e:
         print(f"shapecheck: error: {e}", file=sys.stderr)
         return 2
+    except Exception as e:  # exit 1 is a verdict, so no crash may fall through to it
+        print(f"shapecheck: internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

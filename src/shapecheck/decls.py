@@ -545,35 +545,14 @@ class Cycle:
         return self.trace + (self.name,)
 
 
-class _CycleSignal(Exception):
-    def __init__(self, name: str, trace: tuple[str, ...]):
-        self.name = name
-        self.trace = trace
-        super().__init__(name)
+# Shapes of lazy-like arguments are resolved one nesting level per call;
+# an argument that grows at every level never repeats, so the nesting is
+# bounded instead.
+_LAZY_NESTING_LIMIT = 100
 
 
-class _ConflictSignal(Exception):
-    def __init__(self, witness: ConflictWitness):
-        self.witness = witness
-        super().__init__(witness)
-
-
-@dataclass(frozen=True)
-class _AVar:
-    name: str
-
-
-@dataclass(frozen=True)
-class _AApp:
-    name: str
-    args: tuple
-    trace: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class _APrim:
-    name: str
-    args: tuple  # plain, fully substituted type expressions
+class LazyNestingError(DeclError):
+    pass
 
 
 def _subst_type(ty: TypeExpr, sub: Mapping[str, TypeExpr]) -> TypeExpr:
@@ -583,65 +562,75 @@ def _subst_type(ty: TypeExpr, sub: Mapping[str, TypeExpr]) -> TypeExpr:
     return type(ty)(ty.name, args)
 
 
-def _erase_ann(aty) -> TypeExpr:
-    if isinstance(aty, _AVar):
-        return TVar(aty.name)
-    if isinstance(aty, _APrim):
-        return PrimApp(aty.name, aty.args)
-    return TyApp(aty.name, tuple(_erase_ann(a) for a in aty.args))
+# A closure is a type expression as written in some body, the closures bound
+# to that body's parameters, and the trace of the unfoldings that wrote it:
+# `(type, bindings, trace)`. A bound parameter stands for its argument's own
+# closure, trace included.
 
 
-def _ann_subst(ty: TypeExpr, sub_ann: Mapping, sub_plain: Mapping, trace: tuple):
-    """Annotating substitution on type expressions: substituted arguments
-    keep their own traces, nodes from `ty` get `trace`."""
+def _plain(ty: TypeExpr, bind: Mapping) -> TypeExpr:
+    """The plain type expression a closure denotes."""
+    while isinstance(ty, TVar) and ty.name in bind:
+        ty, bind, _trace = bind[ty.name]
     if isinstance(ty, TVar):
-        return sub_ann.get(ty.name, _AVar(ty.name))
-    if isinstance(ty, PrimApp):
-        return _APrim(ty.name, tuple(_subst_type(a, sub_plain) for a in ty.args))
-    return _AApp(ty.name, tuple(_ann_subst(a, sub_ann, sub_plain, trace) for a in ty.args), trace)
+        return ty
+    return type(ty)(ty.name, tuple(_plain(a, bind) for a in ty.args))
 
 
-def _norm(aty, env: Mapping[str, Decl], via: tuple[str, ...]) -> list[Component]:
-    if isinstance(aty, _AVar):
-        return [VarComponent(aty.name, via)]
-    if isinstance(aty, _APrim):
-        return [PrimComponent(aty.name, aty.args, via)]
-    decl = env[aty.name]
-    if isinstance(decl.body, AbstractBody):
-        return [OpaqueComponent(aty.name, tuple(_erase_ann(a) for a in aty.args), decl.body.shape, via)]
-    if aty.name in aty.trace:
-        raise _CycleSignal(aty.name, aty.trace)
-    deeper = aty.trace + (aty.name,)
-    sub_ann = dict(zip(decl.params, aty.args))
-    sub_plain = {p: _erase_ann(a) for p, a in sub_ann.items()}
-    if isinstance(decl.body, AbbrevBody):
-        return _norm(_ann_subst(decl.body.body, sub_ann, sub_plain, deeper), env, via + (aty.name,))
+def _unfold(ty: TypeExpr, env: Mapping[str, Decl]) -> SumNF | Cycle:
+    """Monitored unfolding, depth first, on an explicit stack of closures
+    (with the `via` path that reached them) and finished components."""
     out: list[Component] = []
-    for c in decl.body.ctors:
-        if c.unboxed:
-            arg = _ann_subst(c.arg_types[0], sub_ann, sub_plain, deeper)
-            out.extend(_norm(arg, env, via + (c.name,)))
-        else:
-            fields = tuple(_subst_type(f, sub_plain) for f in c.arg_types)
-            out.append(CtorComponent(c.name, fields, aty.name, c.constant, c.index, via))
-    return out
+    stack: list = [(ty, {}, (), ())]
+    while stack:
+        item = stack.pop()
+        if not isinstance(item, tuple):
+            out.append(item)
+            continue
+        ty, bind, trace, via = item
+        while isinstance(ty, TVar) and ty.name in bind:
+            ty, bind, trace = bind[ty.name]
+        if isinstance(ty, TVar):
+            out.append(VarComponent(ty.name, via))
+            continue
+        if isinstance(ty, PrimApp):
+            out.append(PrimComponent(ty.name, tuple(_plain(a, bind) for a in ty.args), via))
+            continue
+        decl = env[ty.name]
+        if isinstance(decl.body, AbstractBody):
+            args = tuple(_plain(a, bind) for a in ty.args)
+            out.append(OpaqueComponent(ty.name, args, decl.body.shape, via))
+            continue
+        if ty.name in trace:
+            return Cycle(ty.name, trace)
+        sub = {p: (a, bind, trace) for p, a in zip(decl.params, ty.args)}
+        deeper = trace + (ty.name,)
+        if isinstance(decl.body, AbbrevBody):
+            stack.append((decl.body.body, sub, deeper, via + (ty.name,)))
+            continue
+        for c in reversed(decl.body.ctors):
+            if c.unboxed:
+                stack.append((c.arg_types[0], sub, deeper, via + (c.name,)))
+            else:
+                fields = tuple(_plain(f, sub) for f in c.arg_types)
+                stack.append(CtorComponent(c.name, fields, ty.name, c.constant, c.index, via))
+    return SumNF(tuple(out))
 
 
 def normalize_type(ty: TypeExpr, decls: Sequence[Decl], prims: PrimTable | None = None) -> SumNF | Cycle:
     """Unfold a type into its sum normal form, or report the blocking cycle."""
-    env = {d.name: d for d in decls}
-    try:
-        return SumNF(tuple(_norm(_ann_subst(ty, {}, {}, ()), env, ())))
-    except _CycleSignal as c:
-        return Cycle(c.name, c.trace)
+    return _unfold(ty, {d.name: d for d in decls})
 
 
-def shape_of_snf(snf: SumNF, ctx: ShapeContext) -> HeadShape | ConflictWitness:
-    """Disjointly union the component shapes; a conflict is a value."""
+def shape_of_snf(snf: SumNF, ctx: ShapeContext) -> HeadShape | ConflictWitness | Cycle:
+    """Disjointly union the component shapes; a conflict is a value, and so
+    is a conflict or cycle met in a lazy-like argument."""
     done: list[tuple[Component, HeadShape]] = []
     acc = EMPTY_SHAPE
     for comp in snf.components:
         s = component_shape(comp, ctx)
+        if not isinstance(s, HeadShape):
+            return s
         for prev, prev_s in done:
             w = shape_disjoint_union(prev_s, s, describe_component(prev), describe_component(comp))
             if isinstance(w, ConflictWitness):
@@ -651,28 +640,23 @@ def shape_of_snf(snf: SumNF, ctx: ShapeContext) -> HeadShape | ConflictWitness:
     return acc
 
 
-def _shape_of_type(ty: TypeExpr, env: Mapping[str, Decl], prims: PrimTable,
-                   seen: frozenset) -> HeadShape:
+def _shape(ty: TypeExpr, env: Mapping[str, Decl], prims: PrimTable,
+           seen: frozenset) -> HeadShape | ConflictWitness | Cycle:
     if ty in seen:
         return TOP_SHAPE  # shape-level recursion through a lazy-like argument
-    comps = SumNF(tuple(_norm(_ann_subst(ty, {}, {}, ()), env, ())))
-    ctx = ShapeContext(prims, lambda t: _shape_of_type(t, env, prims, seen | {ty}))
-    sw = shape_of_snf(comps, ctx)
-    if isinstance(sw, ConflictWitness):
-        raise _ConflictSignal(sw)
-    return sw
+    if len(seen) >= _LAZY_NESTING_LIMIT:
+        raise LazyNestingError(
+            f"lazy-like arguments nest more than {_LAZY_NESTING_LIMIT} levels deep")
+    snf = _unfold(ty, env)
+    if isinstance(snf, Cycle):
+        return snf
+    return shape_of_snf(snf, ShapeContext(prims, lambda t: _shape(t, env, prims, seen | {ty})))
 
 
 def shape_of_type(ty: TypeExpr, decls: Sequence[Decl], prims: PrimTable | None = None) -> HeadShape | ConflictWitness | Cycle:
-    env = {d.name: d for d in decls}
     if prims is None:
         prims = default_prim_table()
-    try:
-        return _shape_of_type(ty, env, prims, frozenset())
-    except _CycleSignal as c:
-        return Cycle(c.name, c.trace)
-    except _ConflictSignal as cs:
-        return cs.witness
+    return _shape(ty, {d.name: d for d in decls}, prims, frozenset())
 
 
 # ---------------------------------------------------------------------------
@@ -721,22 +705,23 @@ def check_decls(decls: Sequence[Decl], prims: PrimTable | None = None) -> list[C
 def _check_one(d: Decl, env: Mapping[str, Decl], prims: PrimTable) -> CheckReport:
     if isinstance(d.body, AbstractBody):
         return Accepted(d.name, d.body.shape, ())
-    try:
-        comps = SumNF(tuple(_norm(_ann_subst(self_application(d), {}, {}, ()), env, ())))
-        ctx = ShapeContext(prims, lambda t: _shape_of_type(t, env, prims, frozenset()))
-        sw = shape_of_snf(comps, ctx)
-        if isinstance(sw, ConflictWitness):
-            return RejectedConflict(d.name, sw)
-        recorded: list[tuple[str, HeadShape]] = []
-        if isinstance(d.body, VariantBody):
-            for c in d.body.ctors:
-                if c.unboxed:
-                    recorded.append((c.name, _shape_of_type(c.arg_types[0], env, prims, frozenset())))
-        return Accepted(d.name, sw, tuple(recorded))
-    except _CycleSignal as c:
-        return RejectedCycle(d.name, c.name, c.trace, c.trace + (c.name,))
-    except _ConflictSignal as cs:
-        return RejectedConflict(d.name, cs.witness)
+    snf = _unfold(self_application(d), env)
+    ctx = ShapeContext(prims, lambda t: _shape(t, env, prims, frozenset()))
+    sw = snf if isinstance(snf, Cycle) else shape_of_snf(snf, ctx)
+    if isinstance(sw, Cycle):
+        return RejectedCycle(d.name, sw.name, sw.trace, sw.path)
+    if isinstance(sw, ConflictWitness):
+        return RejectedConflict(d.name, sw)
+    # An unboxed constructor's argument unfolds on its own to the components
+    # whose `via` starts with that constructor: its own unfolding carries a
+    # subset of their traces, so it blocks nowhere they did not.
+    recorded: list[tuple[str, HeadShape]] = []
+    if isinstance(d.body, VariantBody):
+        for c in d.body.ctors:
+            if c.unboxed:
+                part = SumNF(tuple(x for x in snf.components if x.via[:1] == (c.name,)))
+                recorded.append((c.name, shape_of_snf(part, ctx)))
+    return Accepted(d.name, sw, tuple(recorded))
 
 
 def match_plan(decl: Decl, ctor_name: str, report: CheckReport) -> HeadShape:

@@ -276,7 +276,9 @@ def describe_component(comp: Component) -> str:
 @dataclass(frozen=True)
 class ShapeContext:
     """What component shapes may depend on: the primitive table and, for
-    lazy-like primitives, a resolver from type expressions to shapes."""
+    lazy-like primitives, a resolver from type expressions to shapes. A
+    resolver result that is not a shape (a conflict or a cycle) is passed
+    through as the component's result."""
 
     prims: PrimTable
     type_shape: Callable | None = None
@@ -299,5 +301,8 @@ def component_shape(comp: Component, ctx: ShapeContext) -> HeadShape:
         if ctx.type_shape is None:
             raise ValueError(f"primitive {comp.prim!r} needs a type-shape resolver")
         for arg in comp.args:
-            shape = shape_union(shape, ctx.type_shape(arg))
+            arg_shape = ctx.type_shape(arg)
+            if not isinstance(arg_shape, HeadShape):
+                return arg_shape
+            shape = shape_union(shape, arg_shape)
     return shape

@@ -62,6 +62,12 @@ class TestCheck:
     def test_missing_file_is_a_usage_error(self, capsys):
         assert cli.main(["check", "/nonexistent/x.decl"]) == 2
 
+    def test_growing_lazy_like_argument_is_an_input_error(self, tmp_path, capsys):
+        path = write(tmp_path, "grow.decl", "type ('a) box = B of 'a\n"
+                     "type ('a) t = L of ((('a) box) t) lazy [@unboxed]\n")
+        assert cli.main(["check", path]) == 2
+        assert "lazy-like arguments nest more than 100 levels" in capsys.readouterr().err
+
     def test_output_is_deterministic(self, tmp_path, capsys):
         path = write(tmp_path, "zarith.decl", F.ZARITH_DECL)
         _, first = run(capsys, ["check", path])
@@ -144,6 +150,12 @@ class TestCpp:
         code, out = run(capsys, ["cpp", path])
         assert (code, out) == (0, "42\n")
 
+    def test_multiple_files_get_headers(self, tmp_path, capsys):
+        a = write(tmp_path, "nil.cpp", F.NIL_CPP)
+        b = write(tmp_path, "f.cpp", F.FSTOP_CPP)
+        code, out = run(capsys, ["cpp", a, b])
+        assert (code, out) == (0, f"# {a}\n42\n# {b}\nf ( stop , stop )\n")
+
     def test_show_hidesets(self, tmp_path, capsys):
         path = write(tmp_path, "f.cpp", F.FSTOP_CPP)
         code, out = run(capsys, ["cpp", "--show-hidesets", path])
@@ -181,3 +193,13 @@ def test_usage_error_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["norm", "--no-such-flag", "x"])
     assert exc.value.code == 2
+
+
+def test_internal_error_exits_three(monkeypatch, capsys):
+    def boom(args):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "_cmd_check", boom)
+    assert cli.main(["check", "x.decl"]) == 3
+    assert capsys.readouterr().err == (
+        "shapecheck: internal error: RecursionError: maximum recursion depth exceeded\n")

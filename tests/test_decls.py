@@ -7,6 +7,13 @@ from shapecheck import oracle as O
 from shapecheck import shapes as S
 
 
+# Each lazy-like level wraps the argument once more, so no level repeats.
+GROWING_LAZY_DECL = """\
+type ('a) box = B of 'a
+type ('a) t = L of ((('a) box) t) lazy [@unboxed]
+"""
+
+
 def shape(imm, block):
     return S.HeadShape(S.TOP if imm == "top" else frozenset(imm),
                        S.TOP if block == "top" else frozenset(block))
@@ -123,6 +130,34 @@ class TestNormalizeType:
         assert [c.prim for c in nf.components] == ["int", "string"]
 
 
+def abbrev_chain(n):
+    return D.parse_decls("type a0 = int\n" + "".join(
+        f"type a{i} = a{i - 1}\n" for i in range(1, n)))
+
+
+def swap_chain(n):
+    return D.parse_decls("type ('a, 'b) c0 = A of 'a | B of 'b\n" + "".join(
+        f"type ('a, 'b) c{i} = ('b, 'a) c{i - 1}\n" for i in range(1, n)))
+
+
+class TestDeepChains:
+    def test_plain_abbreviation_chain(self):
+        ds = abbrev_chain(1500)
+        top = D.TyApp("a1499")
+        via = tuple(f"a{i}" for i in range(1499, -1, -1))
+        assert D.normalize_type(top, ds) == D.SumNF((S.PrimComponent("int", (), via),))
+        assert D.shape_of_type(top, ds) == shape("top", ())
+
+    def test_two_parameter_chain(self):
+        ds = swap_chain(1500)
+        top = D.TyApp("c1499", (D.PrimApp("int"), D.PrimApp("string")))
+        nf = D.normalize_type(top, ds)
+        assert [(c.name, c.arg_types) for c in nf.components] == [
+            ("A", (D.PrimApp("string"),)), ("B", (D.PrimApp("int"),))]
+        assert all(len(c.via) == 1499 for c in nf.components)
+        assert D.shape_of_type(top, ds) == shape((), {0, 1})
+
+
 class TestShapeOfSnf:
     def ctx(self, ds):
         return S.ShapeContext(S.default_prim_table(), lambda ty: D.shape_of_type(ty, ds))
@@ -141,6 +176,11 @@ class TestShapeOfSnf:
 
     def test_empty_sum(self):
         assert D.shape_of_snf(D.SumNF(()), self.ctx([])) == S.EMPTY_SHAPE
+
+    def test_cycle_in_a_lazy_like_argument_is_a_value(self):
+        ds = D.parse_decls(F.LOOP_DECL + "type t = L of ((loop) lazy) [@unboxed]")
+        nf = D.normalize_type(D.TyApp("t"), ds)
+        assert D.shape_of_snf(nf, self.ctx(ds)) == D.Cycle("loop", ("loop",))
 
 
 class TestCheckDecls:
@@ -192,9 +232,40 @@ class TestCheckDecls:
         _, (report,) = self.reports("type w = W of ((w) lazy) [@unboxed]")
         assert report == D.Accepted("w", S.TOP_SHAPE, (("W", S.TOP_SHAPE),))
 
+    def test_lazy_like_cycle_rejects_the_declaration(self):
+        _, reports = self.reports(F.LOOP_DECL + "type t = L of ((loop) lazy) [@unboxed]")
+        assert reports[2] == D.RejectedCycle("t", "loop", ("loop",), ("loop", "loop"))
+
+    def test_growing_lazy_like_argument_is_an_input_error(self):
+        with pytest.raises(D.LazyNestingError):
+            self.reports(GROWING_LAZY_DECL)
+
+    def test_lazy_like_nesting_is_bounded(self):
+        def chain(n):
+            return "type l0 = int\n" + "".join(
+                f"type l{i} = L of ((l{i - 1}) lazy) [@unboxed]\n" for i in range(1, n))
+        _, reports = self.reports(chain(60))
+        assert all(isinstance(r, D.Accepted) for r in reports)
+        with pytest.raises(D.LazyNestingError):
+            self.reports(chain(150))
+
     def test_abbreviations_get_their_body_shape(self):
         _, (report,) = self.reports("type num = int")
         assert report == D.Accepted("num", shape("top", ()), ())
+
+    def test_recorded_unboxed_shapes_match_shape_of_type(self):
+        files = [D.parse_decls(text) for text in F.CHECK_CORPUS]
+        files += O.gen_decls(9, O.GenParams(count=150))
+        checked = 0
+        for ds in files:
+            for d, report in zip(ds, D.check_decls(ds)):
+                if not isinstance(report, D.Accepted) or not isinstance(d.body, D.VariantBody):
+                    continue
+                args = {c.name: c.arg_types[0] for c in d.body.ctors if c.unboxed}
+                for ctor, recorded in report.unboxed_arg_shapes:
+                    assert recorded == D.shape_of_type(args[ctor], ds), f"{d.name}.{ctor}"
+                    checked += 1
+        assert checked > 50
 
     def test_reports_are_deterministic(self):
         a = D.check_decls(D.parse_decls(F.ZARITH_DECL))

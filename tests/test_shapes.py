@@ -143,6 +143,11 @@ class TestComponentShape:
         got = S.component_shape(S.PrimComponent("lazy", ("somearg",)), ctx)
         assert got == shape({0, 1}, {246, 250, 251})
 
+    def test_lazy_like_passes_a_non_shape_argument_result_through(self):
+        w = S.ConflictWitness("imm", None, "left", "right")
+        ctx = S.ShapeContext(S.default_prim_table(), type_shape=lambda ty: w)
+        assert S.component_shape(S.PrimComponent("lazy", ("somearg",)), ctx) is w
+
     def test_lazy_like_requires_resolver(self):
         with pytest.raises(ValueError):
             S.component_shape(S.PrimComponent("lazy", ("somearg",)),
