@@ -8,11 +8,12 @@ values here can be shared freely between threads.
 """
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, cmp_to_key
-from typing import Callable, Mapping
+from typing import Callable, Collection, Mapping, Sequence
+
+from . import syntax
 
 
 class Mode(Enum):
@@ -25,13 +26,8 @@ class Strategy(Enum):
     LEFTMOST_INNERMOST = "innermost"
 
 
-class LamError(Exception):
-    def __init__(self, message: str, line: int | None = None, col: int | None = None):
-        self.message = message
-        self.line = line
-        self.col = col
-        where = f"{line}:{col}: " if line is not None else ""
-        super().__init__(f"{where}{message}")
+class LamError(syntax.SourceError):
+    pass
 
 
 class ParseError(LamError):
@@ -383,96 +379,66 @@ def normalize(
 # Concrete syntax
 
 
-@dataclass(frozen=True)
-class _Tok:
-    kind: str  # "name", "punct", "eof"
-    text: str
-    line: int
-    col: int
+_SCAN = syntax.scanner(
+    (syntax.SKIP, r"#.*"),
+    ("kw", r"(?:let|rec|and|in)(?![a-zA-Z0-9_])"),
+    ("name", r"[a-z_][a-zA-Z0-9_]*"),
+    ("punct", r"[(),=]"),
+)
 
 
-_NAME_RE = re.compile(r"[a-z_][a-zA-Z0-9_]*")
-_KEYWORDS = frozenset({"let", "rec", "and", "in"})
+class _Parser(syntax.Cursor):
+    error = ParseError
 
-
-def _tokenize(text: str) -> list[_Tok]:
-    toks: list[_Tok] = []
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        if "#" in line:
-            line = line[: line.index("#")]
-        col = 0
-        while col < len(line):
-            ch = line[col]
-            if ch.isspace():
-                col += 1
-                continue
-            if ch in "(),=":
-                toks.append(_Tok("punct", ch, lineno, col + 1))
-                col += 1
-                continue
-            m = _NAME_RE.match(line, col)
-            if not m:
-                raise ParseError(f"unexpected character {ch!r}", lineno, col + 1)
-            toks.append(_Tok("name", m.group(0), lineno, col + 1))
-            col = m.end()
-    toks.append(_Tok("eof", "", len(text.split("\n")), 1))
-    return toks
-
-
-class _Parser:
-    def __init__(self, toks: list[_Tok], mode: Mode):
-        self.toks = toks
-        self.pos = 0
+    def __init__(self, toks: Sequence[syntax.Tok], mode: Mode):
+        super().__init__(toks)
         self.mode = mode
 
-    def peek(self) -> _Tok:
-        return self.toks[self.pos]
+    def name(self) -> syntax.Tok:
+        return self.expect_kind("name", "a name")
 
-    def next(self) -> _Tok:
-        t = self.toks[self.pos]
-        self.pos += 1
-        return t
-
-    def expect(self, text: str) -> _Tok:
-        t = self.next()
-        if t.text != text:
-            raise ParseError(f"expected {text!r}, found {t.text or 'end of input'!r}", t.line, t.col)
-        return t
-
-    def name(self) -> _Tok:
-        t = self.next()
-        if t.kind != "name" or t.text in _KEYWORDS:
-            raise ParseError(f"expected a name, found {t.text or 'end of input'!r}", t.line, t.col)
-        return t
-
-    def args(self, params: set[str]) -> tuple[Term, ...]:
-        self.expect("(")
-        if self.peek().text == ")":
-            self.next()
-            return ()
-        out = [self.term(params)]
-        while self.peek().text == ",":
-            self.next()
-            out.append(self.term(params))
-        self.expect(")")
-        return tuple(out)
-
-    def term(self, params: set[str]) -> Term:
-        t = self.name()
-        node: Term
-        if self.mode is Mode.CLOSED_HIGHER_ORDER:
-            node = Var(t.text)
-        elif self.peek().text == "(":
-            node = App(Var(t.text), self.args(params))
-        elif t.text in params:
-            node = Var(t.text)
-        else:
-            # free names and nullary calls are applications so that they
-            # carry a trace once annotated
-            node = App(Var(t.text), ())
-        while self.peek().text == "(":
-            node = App(node, self.args(params))
-        return node
+    def term(self, params: Collection[str]) -> Term:
+        """`name (args)*`, read on an explicit stack of open argument lists
+        so that nesting depth costs no recursion. The position is kept in a
+        local; on a token that does not fit, the cursor's own check raises."""
+        toks, pos = self.toks, self.pos
+        first_order = self.mode is Mode.FIRST_ORDER
+        open_apps: list[tuple[Term, list[Term]]] = []
+        while True:
+            t = toks[pos]
+            if t.kind != "name":
+                self.pos = pos
+                self.name()
+            pos += 1
+            node: Term = Var(t.text)
+            if first_order and toks[pos].text != "(" and t.text not in params:
+                # free names and nullary calls are applications so that they
+                # carry a trace once annotated
+                node = App(node, ())
+            while True:
+                follow = toks[pos].text
+                if follow == "(":
+                    pos += 1
+                    if toks[pos].text != ")":
+                        open_apps.append((node, []))
+                        break  # read the first argument
+                    pos += 1
+                    node = App(node, ())
+                    continue
+                if not open_apps:
+                    self.pos = pos
+                    return node
+                head, args = open_apps[-1]
+                args.append(node)
+                if follow == ",":
+                    pos += 1
+                    break  # read the next argument
+                if follow != ")":
+                    self.pos = pos
+                    self.expect(")")
+                pos += 1
+                open_apps.pop()
+                node = App(head, tuple(args))
 
     def definition(self) -> Definition:
         t = self.name()
@@ -485,13 +451,22 @@ class _Parser:
                 params.append(self.name().text)
         self.expect(")")
         self.expect("=")
-        body = self.term(set(params))
+        body = self.term(params)
         return Definition(t.text, tuple(params), body)
+
+
+def read_term(toks: Sequence[syntax.Tok], params: Collection[str] = ()) -> Term:
+    """One first-order term spanning `toks`, which are already split into
+    `name` and `punct` tokens; names in `params` stay variables."""
+    p = _Parser(list(toks) + [syntax.Tok("eof", "", 0, 0)], Mode.FIRST_ORDER)
+    term = p.term(params)
+    p.end()
+    return term
 
 
 def parse_program(text: str, mode: Mode = Mode.FIRST_ORDER) -> Program:
     """Parse `let rec f(x) = ... and ... in term` (or a bare term)."""
-    p = _Parser(_tokenize(text), mode)
+    p = _Parser(syntax.lex(text, _SCAN, ParseError), mode)
     defs: list[Definition] = []
     if p.peek().text == "let":
         p.expect("let")
@@ -501,10 +476,8 @@ def parse_program(text: str, mode: Mode = Mode.FIRST_ORDER) -> Program:
             p.next()
             defs.append(p.definition())
         p.expect("in")
-    root = p.term(set())
-    tail = p.peek()
-    if tail.kind != "eof":
-        raise ParseError(f"unexpected trailing input {tail.text!r}", tail.line, tail.col)
+    root = p.term(())
+    p.end()
     return Program(tuple(defs), root, mode)
 
 

@@ -5,7 +5,7 @@ import argparse
 import json
 import sys
 
-from . import calculus, cppmacro, decls, measure, oracle, shapes
+from . import calculus, cppmacro, decls, measure, oracle, shapes, syntax
 
 
 def _strategy(name: str) -> calculus.Strategy:
@@ -231,7 +231,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (calculus.LamError, decls.DeclError, cppmacro.MacroError, ValueError, OSError) as e:
+    except (syntax.SourceError, cppmacro.MacroError, ValueError, OSError) as e:
         print(f"shapecheck: error: {e}", file=sys.stderr)
         return 2
     except Exception as e:  # exit 1 is a verdict, so no crash may fall through to it

@@ -16,7 +16,8 @@ from dataclasses import dataclass, replace
 from typing import Iterable, Mapping
 
 from . import calculus
-from .calculus import App, Mode, Program, Definition, Strategy, Term, Var
+from .calculus import Mode, Program, Definition, Strategy, Term
+from .syntax import Tok
 
 
 class MacroError(Exception):
@@ -243,22 +244,19 @@ def parse_macro_file(text: str) -> tuple[dict[str, MacroDef], TokenSeq]:
             name = rest[0].name
             if len(rest) < 3 or not isinstance(rest[1], LParen):
                 raise MacroError(f"line {lineno}: {name!r} must be a function-like macro")
-            formals: list[str] = []
-            i = 2
-            while not isinstance(rest[i], RParen):
-                tok = rest[i]
-                if isinstance(tok, Ident):
-                    formals.append(tok.name)
-                elif not isinstance(tok, Comma):
-                    raise MacroError(f"line {lineno}: malformed parameter list of {name!r}")
-                i += 1
-                if i >= len(rest):
-                    raise MacroError(f"line {lineno}: malformed parameter list of {name!r}")
+            # `(` then `)` or Ident (Comma Ident)* `)`
+            close = next((i for i, t in enumerate(rest) if isinstance(t, RParen)), None)
+            inner = rest[2:close]
+            if (close is None or (inner and len(inner) % 2 == 0)
+                    or not all(isinstance(t, Ident) for t in inner[0::2])
+                    or not all(isinstance(t, Comma) for t in inner[1::2])):
+                raise MacroError(f"line {lineno}: malformed parameter list of {name!r}")
+            formals = [t.name for t in inner[0::2]]
             if name in defs:
                 raise MacroError(f"line {lineno}: duplicate definition of {name!r}")
             if len(set(formals)) != len(formals):
                 raise MacroError(f"line {lineno}: duplicate parameter of {name!r}")
-            body = rest[i + 1:]
+            body = rest[close + 1:]
             _check_balanced(body, f"the body of {name!r}", lineno)
             defs[name] = MacroDef(name, tuple(formals), body)
         else:
@@ -271,19 +269,14 @@ def parse_macro_file(text: str) -> tuple[dict[str, MacroDef], TokenSeq]:
     return defs, call
 
 
+_PUNCT = {LParen: "(", RParen: ")", Comma: ","}
+_PUNCT_TOKS = {cls: Tok("punct", text, 1, 1) for cls, text in _PUNCT.items()}
+
+
 def render_tokens(tokens: Iterable[Token], show_hide_sets: bool = False) -> str:
     parts = []
     for t in tokens:
-        if isinstance(t, Ident):
-            text = t.name
-        elif isinstance(t, LParen):
-            text = "("
-        elif isinstance(t, RParen):
-            text = ")"
-        elif isinstance(t, Comma):
-            text = ","
-        else:
-            text = t.text
+        text = _PUNCT.get(type(t)) or (t.name if isinstance(t, Ident) else t.text)
         if show_hide_sets and isinstance(t, (Ident, LParen, RParen)) and t.hide:
             text += "^{" + ",".join(sorted(t.hide)) + "}"
         parts.append(text)
@@ -315,52 +308,36 @@ def first_order_violation(defs: Mapping[str, MacroDef], call: TokenSeq) -> str |
 
 
 def _term_of_tokens(tokens: TokenSeq, what: str, formals: frozenset[str] = frozenset()) -> Term:
-    pos = 0
-
-    def parse() -> Term:
-        nonlocal pos
-        if pos >= len(tokens):
-            raise MalformedCallError(f"unexpected end of {what}")
-        t = tokens[pos]
-        if isinstance(t, Ident):
-            name = t.name
-        elif isinstance(t, Other):
-            name = t.text
-        else:
-            raise MalformedCallError(f"unexpected token in {what}")
-        pos += 1
-        node: Term = Var(name)
-        applied = False
-        while pos < len(tokens) and isinstance(tokens[pos], LParen):
-            pos += 1
-            args: list[Term] = []
-            if pos < len(tokens) and not isinstance(tokens[pos], RParen):
-                args.append(parse())
-                while pos < len(tokens) and isinstance(tokens[pos], Comma):
-                    pos += 1
-                    args.append(parse())
-            if pos >= len(tokens) or not isinstance(tokens[pos], RParen):
-                raise MalformedCallError(f"unbalanced parentheses in {what}")
-            pos += 1
-            node = App(node, tuple(args))
-            applied = True
-        if not applied and name not in formals:
-            node = App(Var(name), ())
-        return node
-
-    out = parse()
-    if pos != len(tokens):
-        raise MalformedCallError(f"trailing tokens in {what}")
-    return out
+    # The error below keeps no position, so tokens of equal text are shared:
+    # building one per input token costs more than reading it.
+    shared: dict = dict(_PUNCT_TOKS)  # keyed by class for punctuation, by text for names
+    toks = []
+    for t in tokens:
+        key = t.name if type(t) is Ident else t.text if type(t) is Other else type(t)
+        tok = shared.get(key)
+        if tok is None:
+            tok = shared[key] = Tok("name", key, 1, 1)
+        toks.append(tok)
+    try:
+        return calculus.read_term(toks, formals)
+    except calculus.ParseError as e:
+        raise MalformedCallError(f"{e.message} in {what}") from None
 
 
 def translate_macros(defs: Mapping[str, MacroDef], call: TokenSeq) -> Program:
+    """The system as a first-order program: one definition per macro, the
+    call as the root. A system outside the first-order fragment raises
+    `NotFirstOrderError`."""
     definitions = tuple(
         Definition(d.name, d.formals,
-                   _term_of_tokens(d.body, f"body of {d.name!r}", frozenset(d.formals)))
+                   _term_of_tokens(d.body, f"the body of {d.name!r}", frozenset(d.formals)))
         for d in defs.values()
     )
-    return Program(definitions, _term_of_tokens(call, "the call"), Mode.FIRST_ORDER)
+    root = _term_of_tokens(call, "the call")
+    try:
+        return Program(definitions, root, Mode.FIRST_ORDER)
+    except calculus.LamError as e:
+        raise NotFirstOrderError(e.message) from None
 
 
 def _residual_blocked(tokens: TokenSeq, defs: Mapping[str, MacroDef]) -> bool:

@@ -10,15 +10,13 @@ its argument during matching.
 """
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from . import calculus
+from . import calculus, syntax
 from .calculus import App, Mode, Program, Definition, Term, Var
 from .shapes import (
     EMPTY_SHAPE,
-    TOP,
     TOP_SHAPE,
     Component,
     ConflictWitness,
@@ -32,18 +30,14 @@ from .shapes import (
     component_shape,
     default_prim_table,
     describe_component,
+    read_shape,
     shape_disjoint_union,
     shape_union,
 )
 
 
-class DeclError(Exception):
-    def __init__(self, message: str, line: int | None = None, col: int | None = None):
-        self.message = message
-        self.line = line
-        self.col = col
-        where = f"{line}:{col}: " if line is not None else ""
-        super().__init__(f"{where}{message}")
+class DeclError(syntax.SourceError):
+    pass
 
 
 class DeclSyntaxError(DeclError):
@@ -175,145 +169,31 @@ class _RawRef:
     col: int
 
 
-@dataclass(frozen=True)
-class _DTok:
-    kind: str  # lident, uident, tyvar, int, punct, attr, eof
-    text: str
-    line: int
-    col: int
+_SCAN = syntax.scanner(
+    (syntax.SKIP, r"#.*"),
+    ("attr", r"\[@"),
+    ("tyvar", r"'[a-z_][a-zA-Z0-9_]*"),  # the quote stays in the text
+    ("punct", r"[(){}|=*;:,\]]"),
+    ("lident", r"[a-z_][a-zA-Z0-9_]*"),
+    ("uident", r"[A-Z][a-zA-Z0-9_]*"),
+    ("int", r"[0-9]+"),
+)
 
 
-_D_LIDENT = re.compile(r"[a-z_][a-zA-Z0-9_]*")
-_D_UIDENT = re.compile(r"[A-Z][a-zA-Z0-9_]*")
-_D_INT = re.compile(r"[0-9]+")
-
-
-def _dtokenize(text: str) -> list[_DTok]:
-    toks: list[_DTok] = []
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        if "#" in line:
-            line = line[: line.index("#")]
-        col = 0
-        while col < len(line):
-            ch = line[col]
-            if ch.isspace():
-                col += 1
-                continue
-            if line.startswith("[@", col):
-                toks.append(_DTok("attr", "[@", lineno, col + 1))
-                col += 2
-                continue
-            if ch == "'":
-                m = _D_LIDENT.match(line, col + 1)
-                if not m:
-                    raise DeclSyntaxError("malformed type variable", lineno, col + 1)
-                toks.append(_DTok("tyvar", m.group(0), lineno, col + 1))
-                col = m.end()
-                continue
-            if ch in "(){}|=*;:,]":
-                toks.append(_DTok("punct", ch, lineno, col + 1))
-                col += 1
-                continue
-            m = _D_LIDENT.match(line, col)
-            if m:
-                toks.append(_DTok("lident", m.group(0), lineno, col + 1))
-                col = m.end()
-                continue
-            m = _D_UIDENT.match(line, col)
-            if m:
-                toks.append(_DTok("uident", m.group(0), lineno, col + 1))
-                col = m.end()
-                continue
-            m = _D_INT.match(line, col)
-            if m:
-                toks.append(_DTok("int", m.group(0), lineno, col + 1))
-                col = m.end()
-                continue
-            raise DeclSyntaxError(f"unexpected character {ch!r}", lineno, col + 1)
-    toks.append(_DTok("eof", "", len(text.split("\n")), 1))
-    return toks
-
-
-class _DeclParser:
-    def __init__(self, toks: list[_DTok]):
-        self.toks = toks
-        self.pos = 0
-
-    def peek(self) -> _DTok:
-        return self.toks[self.pos]
-
-    def next(self) -> _DTok:
-        t = self.toks[self.pos]
-        self.pos += 1
-        return t
-
-    def expect(self, text: str) -> _DTok:
-        t = self.next()
-        if t.text != text:
-            raise DeclSyntaxError(
-                f"expected {text!r}, found {t.text or 'end of input'!r}", t.line, t.col
-            )
-        return t
-
-    def lident(self, what: str = "a name") -> _DTok:
-        t = self.next()
-        if t.kind != "lident":
-            raise DeclSyntaxError(
-                f"expected {what}, found {t.text or 'end of input'!r}", t.line, t.col
-            )
-        return t
-
-    # -- shape literals, parsed from the token stream
-
-    def sub_shape(self):
-        t = self.next()
-        if t.text == "top":
-            return None  # placeholder, mapped to TOP by caller
-        if t.text != "{":
-            raise DeclSyntaxError("expected 'top' or '{...}' in shape", t.line, t.col)
-        values: set[int] = set()
-        if self.peek().text != "}":
-            while True:
-                n = self.next()
-                if n.kind != "int":
-                    raise DeclSyntaxError("expected an integer in shape", n.line, n.col)
-                values.add(int(n.text))
-                if self.peek().text == ",":
-                    self.next()
-                    continue
-                break
-        self.expect("}")
-        return frozenset(values)
-
-    def shape_literal(self) -> HeadShape:
-        self.expect("(")
-        self.expect("imm")
-        self.expect(":")
-        imm = self.sub_shape()
-        sep = self.next()
-        if sep.text not in (";", ","):
-            raise DeclSyntaxError("expected ';' between shape sides", sep.line, sep.col)
-        self.expect("block")
-        self.expect(":")
-        block = self.sub_shape()
-        self.expect(")")
-        tok = self.toks[self.pos - 1]
-        try:
-            return HeadShape(TOP if imm is None else imm, TOP if block is None else block)
-        except ValueError as e:
-            raise DeclSyntaxError(str(e), tok.line, tok.col)
+class _DeclParser(syntax.Cursor):
+    error = DeclSyntaxError
 
     def attrs(self) -> dict:
         out: dict = {}
         while self.peek().kind == "attr":
             self.next()
-            name = self.lident("an attribute name")
+            name = self.expect_kind("lident", "an attribute name")
             if name.text == "unboxed":
                 out["unboxed"] = True
             elif name.text == "shape":
-                out["shape"] = self.shape_literal()
+                out["shape"] = read_shape(self)
             else:
-                raise DeclSyntaxError(f"unknown attribute {name.text!r}", name.line, name.col)
+                raise self.fail(f"unknown attribute {name.text!r}", name)
             self.expect("]")
         return out
 
@@ -323,7 +203,7 @@ class _DeclParser:
         t = self.peek()
         if t.kind == "tyvar":
             self.next()
-            return TVar(t.text), None
+            return TVar(t.text[1:]), None
         if t.kind == "lident":
             self.next()
             return _RawRef(t.text, (), t.line, t.col), None
@@ -339,20 +219,14 @@ class _DeclParser:
                 return None, tuple(items)
             self.expect(")")
             return first, None
-        raise DeclSyntaxError(
-            f"expected a type, found {t.text or 'end of input'!r}", t.line, t.col
-        )
+        raise self.fail(f"expected a type, found {t.text or 'end of input'!r}", t)
 
     def type_expr(self, allow_star: bool = False) -> TypeExpr:
         node, pending = self.type_atom()
         if pending is not None:
             t = self.peek()
             if t.kind != "lident" or t.text in ("of", "type"):
-                raise DeclSyntaxError(
-                    "a parenthesized argument list must be followed by a type name",
-                    t.line,
-                    t.col,
-                )
+                raise self.fail("a parenthesized argument list must be followed by a type name", t)
             self.next()
             node = _RawRef(t.text, pending, t.line, t.col)
         while self.peek().kind == "lident" and self.peek().text not in ("of", "type"):
@@ -373,7 +247,7 @@ class _DeclParser:
         self.expect("{")
         fields = []
         while True:
-            self.lident("a field name")
+            self.expect_kind("lident", "a field name")
             self.expect(":")
             fields.append(self.type_expr(allow_star=False))
             if self.peek().text == ";":
@@ -386,11 +260,7 @@ class _DeclParser:
         return tuple(fields)
 
     def ctor(self):
-        t = self.next()
-        if t.kind != "uident":
-            raise DeclSyntaxError(
-                f"expected a constructor name, found {t.text!r}", t.line, t.col
-            )
+        t = self.expect_kind("uident", "a constructor name")
         fields: tuple = ()
         if self.peek().text == "of":
             self.next()
@@ -405,11 +275,9 @@ class _DeclParser:
         attrs = self.attrs()
         unboxed = attrs.pop("unboxed", False)
         if attrs:
-            raise DeclSyntaxError(f"unexpected attribute on constructor {t.text!r}", t.line, t.col)
+            raise self.fail(f"unexpected attribute on constructor {t.text!r}", t)
         if unboxed and len(fields) != 1:
-            raise DeclSyntaxError(
-                f"unboxed constructor {t.text!r} must take exactly one argument", t.line, t.col
-            )
+            raise self.fail(f"unboxed constructor {t.text!r} must take exactly one argument", t)
         return t.text, fields, unboxed, t
 
     def declaration(self):
@@ -418,33 +286,31 @@ class _DeclParser:
         t = self.peek()
         if t.kind == "tyvar":
             self.next()
-            params.append(t.text)
-        elif t.text == "(" and self.toks[self.pos + 1].kind == "tyvar":
+            params.append(t.text[1:])
+        elif t.text == "(" and self.peek(1).kind == "tyvar":
             self.next()
             while True:
                 tv = self.next()
                 if tv.kind != "tyvar":
-                    raise DeclSyntaxError("expected a type variable", tv.line, tv.col)
-                params.append(tv.text)
+                    raise self.fail("expected a type variable", tv)
+                params.append(tv.text[1:])
                 if self.peek().text == ",":
                     self.next()
                     continue
                 break
             self.expect(")")
-        name = self.lident("a type name")
+        name = self.expect_kind("lident", "a type name")
         attrs = self.attrs()
         shape = attrs.pop("shape", None)
         if attrs:
-            raise DeclSyntaxError(f"unexpected attribute on type {name.text!r}", name.line, name.col)
+            raise self.fail(f"unexpected attribute on type {name.text!r}", name)
         if len(set(params)) != len(params):
-            raise DeclSyntaxError(f"duplicate type parameter on {name.text!r}", name.line, name.col)
+            raise self.fail(f"duplicate type parameter on {name.text!r}", name)
         if self.peek().text != "=":
             return Decl(name.text, tuple(params), AbstractBody(shape or TOP_SHAPE)), name
         self.next()
         if shape is not None:
-            raise DeclSyntaxError(
-                "[@shape ...] is only allowed on abstract types", name.line, name.col
-            )
+            raise self.fail("[@shape ...] is only allowed on abstract types", name)
         t = self.peek()
         if t.text == "|" or t.kind == "uident":
             raw_ctors = []
@@ -491,8 +357,8 @@ def parse_decls(text: str, prims: PrimTable | None = None) -> list[Decl]:
     """Parse a declaration file; mutual recursion is permitted file-wide."""
     if prims is None:
         prims = default_prim_table()
-    p = _DeclParser(_dtokenize(text))
-    raw: list[tuple[Decl, _DTok]] = []
+    p = _DeclParser(syntax.lex(text, _SCAN, DeclSyntaxError))
+    raw: list[tuple[Decl, syntax.Tok]] = []
     while p.peek().kind != "eof":
         raw.append(p.declaration())
     env: dict[str, Decl] = {}

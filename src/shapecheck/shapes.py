@@ -9,8 +9,11 @@ Everything is immutable and pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from importlib import resources
 from typing import Callable, Mapping
+
+from .syntax import Cursor, SourceError, lex, scanner
 
 
 class UnknownPrimitiveError(Exception):
@@ -131,47 +134,69 @@ def render_shape(s: HeadShape) -> str:
     return f"(imm: {render_sub(s.imm)}; block: {render_sub(s.block)})"
 
 
-def _parse_sub(text: str) -> SubShape:
-    text = text.strip()
-    if text == "top":
+class ShapeSyntaxError(SourceError, ValueError):
+    pass
+
+
+_SCAN = scanner(
+    ("int", r"[0-9]+"),
+    ("name", r"[a-zA-Z_][a-zA-Z0-9_]*"),
+    ("punct", r"[(){};:,]"),
+)
+
+
+def _read_sub(cur: Cursor) -> SubShape:
+    t = cur.next()
+    if t.text == "top":
         return TOP
-    if not (text.startswith("{") and text.endswith("}")):
-        raise ValueError(f"expected 'top' or '{{n,...}}', found {text!r}")
-    inner = text[1:-1].strip()
-    if not inner:
-        return frozenset()
-    return frozenset(int(p.strip()) for p in inner.split(","))
+    if t.text != "{":
+        raise cur.fail("expected 'top' or '{...}' in shape", t)
+    values: set[int] = set()
+    if cur.peek().text != "}":
+        while True:
+            n = cur.next()
+            if n.kind != "int":
+                raise cur.fail("expected an integer in shape", n)
+            values.add(int(n.text))
+            if cur.peek().text != ",":
+                break
+            cur.next()
+    cur.expect("}")
+    return frozenset(values)
+
+
+def read_shape(cur: Cursor) -> HeadShape:
+    """`(imm: top|{n,...}; block: top|{n,...})` from the cursor's tokens,
+    `imm` first; a comma may stand for the semicolon. Errors are the
+    cursor's own, at the offending token."""
+    cur.expect("(")
+    cur.expect("imm")
+    cur.expect(":")
+    imm = _read_sub(cur)
+    sep = cur.next()
+    if sep.text not in (";", ","):
+        raise cur.fail("expected ';' between shape sides", sep)
+    cur.expect("block")
+    cur.expect(":")
+    block = _read_sub(cur)
+    close = cur.expect(")")
+    try:
+        return HeadShape(imm, block)
+    except ValueError as e:
+        raise cur.fail(str(e), close)
+
+
+class _ShapeCursor(Cursor):
+    error = ShapeSyntaxError
 
 
 def parse_shape(text: str) -> HeadShape:
-    """Parse `(imm: top|{n,...}; block: top|{n,...})`."""
-    t = text.strip()
-    if not (t.startswith("(") and t.endswith(")")):
-        raise ValueError(f"malformed shape {text!r}")
-    body = t[1:-1]
-    parts = body.split(";")
-    if len(parts) == 1:  # tolerate a comma separator between the two sides
-        depth = 0
-        for i, ch in enumerate(body):
-            if ch == "{":
-                depth += 1
-            elif ch == "}":
-                depth -= 1
-            elif ch == "," and depth == 0:
-                parts = [body[:i], body[i + 1:]]
-                break
-    if len(parts) != 2:
-        raise ValueError(f"malformed shape {text!r}")
-    out = {}
-    for part in parts:
-        label, _, rest = part.partition(":")
-        label = label.strip()
-        if label not in ("imm", "block") or label in out:
-            raise ValueError(f"malformed shape {text!r}")
-        out[label] = _parse_sub(rest)
-    if set(out) != {"imm", "block"}:
-        raise ValueError(f"malformed shape {text!r}")
-    return HeadShape(out["imm"], out["block"])
+    """Parse a whole text as one shape; raises `ShapeSyntaxError`, a
+    `ValueError`."""
+    cur = _ShapeCursor(lex(text, _SCAN, ShapeSyntaxError))
+    shape = read_shape(cur)
+    cur.end()
+    return shape
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +229,10 @@ def parse_prim_table(text: str) -> dict[str, PrimEntry]:
         if rest.endswith("lazylike"):
             lazylike = True
             rest = rest[: -len("lazylike")].strip()
-        table[name] = PrimEntry(parse_shape(rest), lazylike)
+        try:
+            table[name] = PrimEntry(parse_shape(rest), lazylike)
+        except ShapeSyntaxError as e:
+            raise ValueError(f"line {lineno}: {e.message}") from None
     return table
 
 
@@ -213,9 +241,17 @@ def load_prim_table(path) -> dict[str, PrimEntry]:
         return parse_prim_table(f.read())
 
 
-def default_prim_table() -> dict[str, PrimEntry]:
+@cache
+def _default_entries() -> tuple[tuple[str, PrimEntry], ...]:
     text = resources.files(__package__).joinpath("prims.default").read_text("utf-8")
-    return parse_prim_table(text)
+    return tuple(parse_prim_table(text).items())
+
+
+def default_prim_table() -> dict[str, PrimEntry]:
+    """A fresh copy of the shipped table, which is read and parsed once per
+    process: every `check` of a file and every call that passes no table
+    asks for it."""
+    return dict(_default_entries())
 
 
 # ---------------------------------------------------------------------------

@@ -57,6 +57,34 @@ class TestParse:
                 assert again.defs == program.defs and again.root == program.root
 
 
+def spine(term):
+    """Names along the first-argument spine; `==` on deep terms recurses."""
+    names = []
+    while isinstance(term, C.App) and term.args:
+        names.append(term.head.name)
+        term = term.args[0]
+    return names, term
+
+
+class TestDeepInput:
+    @pytest.mark.parametrize("mode", [FO, HO])
+    def test_parse_depth_ten_thousand(self, mode):
+        n = 10_000
+        text = "let rec f(x) = x in " + "f(" * n + "z" + ")" * n
+        p = C.parse_program(text, mode)
+        names, leaf = spine(p.root)
+        assert names == ["f"] * n
+        assert leaf == (C.App(C.Var("z"), ()) if mode is FO else C.Var("z"))
+
+    def test_read_term_from_split_tokens(self):
+        toks = [C.syntax.Tok(k, t, 1, i + 1) for i, (k, t) in enumerate(
+            [("name", "f"), ("punct", "("), ("name", "x"), ("punct", ","), ("name", "c"),
+             ("punct", ")")])]
+        assert C.read_term(toks, {"x"}) == C.App(C.Var("f"), (C.Var("x"), C.App(C.Var("c"), ())))
+        with pytest.raises(C.ParseError, match="unexpected trailing input"):
+            C.read_term(toks + toks)
+
+
 class TestAnnotate:
     def test_annotating_substitution_stamps_new_nodes(self):
         body = C.App(C.Var("loop"), (C.App(C.Var("list"), (C.Var("a"),)),))

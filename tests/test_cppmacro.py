@@ -1,5 +1,6 @@
 import pytest
 
+from shapecheck import calculus as C
 from shapecheck import cppmacro as P
 from shapecheck import fixtures as F
 from shapecheck import oracle as O
@@ -116,6 +117,38 @@ class TestParseMacroFile:
             P.parse_macro_file("#define f(x) x)\nf(a)\n")
         with pytest.raises(P.MacroError):
             P.parse_macro_file("#define f(x) x\nf(a))\n")
+
+
+    @pytest.mark.parametrize("formals", ["x y", "x,,y", ",", "x,", ",x"])
+    def test_malformed_parameter_list(self, formals):
+        with pytest.raises(P.MacroError, match="^line 1: malformed parameter list of 'f'$"):
+            P.parse_macro_file(f"#define f({formals}) x\nf(a)\n")
+
+    def test_render_tokenize_roundtrip_on_generated(self):
+        for defs, call in O.gen_macros(7, O.GenParams(count=60, max_arity=3)):
+            for ts in [call] + [d.body for d in defs.values()]:
+                assert P.tokenize(P.render_tokens(ts)) == ts
+
+
+class TestTranslate:
+    def test_deep_call(self):
+        n = 10_000
+        defs, call = P.parse_macro_file("#define f(x) x\n" + "f(" * n + "z" + ")" * n)
+        term = P.translate_macros(defs, call).root
+        for _ in range(n):
+            assert term.head == C.Var("f")
+            (term,) = term.args
+        assert term == C.App(C.Var("z"), ())
+
+    def test_reading_errors_name_where(self):
+        defs, call = P.parse_macro_file("#define f(x) x ,\nf(a)")
+        with pytest.raises(P.MalformedCallError, match="in the body of 'f'$"):
+            P.translate_macros(defs, call)
+
+    def test_calculus_rejections_are_macro_errors(self):
+        for text in ("#define f() f\nf(f)", "#define f(p) p(a)\nf(b)"):
+            with pytest.raises(P.NotFirstOrderError):
+                P.translate_macros(*P.parse_macro_file(text))
 
 
 class TestCompareFirstOrder:

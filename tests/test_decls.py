@@ -88,12 +88,60 @@ class TestParse:
         assert (by_name["E"].constant, by_name["E"].index) == (False, 1)
         assert by_name["B"].index is None
 
+    @pytest.mark.parametrize("text, col", [
+        ("type 'type t = A 'of int", 18),
+        ("type g [@shape ('imm: 'top; 'block: {1})]", 17),
+    ])
+    def test_quoted_keywords_are_type_variables(self, text, col):
+        with pytest.raises(D.DeclSyntaxError) as e:
+            D.parse_decls(text)
+        assert (e.value.line, e.value.col) == (1, col)
+
+    def test_shape_attribute_errors_keep_their_position(self):
+        with pytest.raises(D.DeclSyntaxError) as e:
+            D.parse_decls("type a\ntype g [@shape (imm: top; block: {1, x})]")
+        assert (e.value.line, e.value.col) == (2, 38)
+        with pytest.raises(D.DeclSyntaxError, match="^2:39: block tags"):
+            D.parse_decls("type a\ntype g [@shape (imm: top; block: {256})]")
+
     def test_multi_parameter_application(self):
         ds = D.parse_decls("type ('a, 'b) pair = P of 'a * 'b\n"
                            "type t = A of ((int, string) pair)")
         assert ds[1].body.ctors[0].arg_types == (
             D.TyApp("pair", (D.PrimApp("int"), D.PrimApp("string"))),
         )
+
+
+def render_ctor(c):
+    text = c.name
+    if c.arg_types:
+        text += " of " + " * ".join(D.render_type(a) for a in c.arg_types)
+    return text + " [@unboxed]" if c.unboxed else text
+
+
+def render_decls(ds):
+    lines = []
+    for d in ds:
+        params = "(" + ", ".join(f"'{p}" for p in d.params) + ") " if d.params else ""
+        head = f"type {params}{d.name}"
+        if isinstance(d.body, D.AbstractBody):
+            lines.append(f"{head} [@shape {S.render_shape(d.body.shape)}]")
+        elif isinstance(d.body, D.AbbrevBody):
+            lines.append(f"{head} = {D.render_type(d.body.body)}")
+        else:
+            lines.append(f"{head} = | " + " | ".join(render_ctor(c) for c in d.body.ctors))
+    return "\n".join(lines) + "\n"
+
+
+class TestRenderParse:
+    def test_fixtures(self):
+        for text in F.CHECK_CORPUS:
+            ds = D.parse_decls(text)
+            assert D.parse_decls(render_decls(ds)) == ds
+
+    def test_generated(self):
+        for ds in O.gen_decls(9, O.GenParams(count=150)):
+            assert D.parse_decls(render_decls(ds)) == ds
 
 
 class TestNormalizeType:

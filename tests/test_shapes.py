@@ -167,6 +167,25 @@ class TestRendering:
         with pytest.raises(ValueError):
             S.parse_shape("(imm: top)")
 
+    @given(head_shapes)
+    def test_render_parse_roundtrip(self, s):
+        assert S.parse_shape(S.render_shape(s)) == s
+
+    @pytest.mark.parametrize("text, col", [
+        ("(block: top; imm: {})", 2),   # `imm` comes first
+        ("(imm: {+1}; block: {})", 8),
+        ("(imm: {1_0}; block: {})", 9),
+        ("(imm: top; block: {}) # c", 23),
+    ])
+    def test_parse_errors_are_located_value_errors(self, text, col):
+        with pytest.raises(S.ShapeSyntaxError) as e:
+            S.parse_shape(text)
+        assert isinstance(e.value, ValueError)
+        assert (e.value.line, e.value.col) == (1, col)
+
+    def test_comma_may_separate_the_sides(self):
+        assert S.parse_shape("(imm: top, block: {0})") == shape("top", {0})
+
     def test_block_tags_bounded(self):
         with pytest.raises(ValueError):
             S.HeadShape(frozenset(), frozenset({256}))
@@ -191,3 +210,7 @@ class TestPrimTable:
     def test_parse_table_rejects_missing_equals(self):
         with pytest.raises(ValueError):
             S.parse_prim_table("word (imm: top; block: {})")
+
+    def test_parse_table_names_the_line_of_a_bad_shape(self):
+        with pytest.raises(ValueError, match="^line 2: expected 'imm', found 'block'$"):
+            S.parse_prim_table("a = (imm: top; block: {})\nb = (block: {}; imm: top)")
