@@ -5,6 +5,11 @@ produced it. A call whose own name already occurs in its trace is refused
 (a "blocked redex"), which is what lets normalization report divergence in
 finite time instead of looping. Terms and programs are immutable, so all
 values here can be shared freely between threads.
+
+`step` is the reference single-step semantics: it searches the whole term
+for the strategy-first redex. `normalize` takes exactly the same steps on a
+focus machine (a zipper) that goes on from the last rewrite, so its work is
+linear in the steps it takes; the tests hold it to a loop over `step`.
 """
 from __future__ import annotations
 
@@ -168,15 +173,26 @@ def annotate(term: Term, subst: Mapping[str, AnnTerm], trace: Trace) -> AnnTerm:
 
     Replaces variables according to `subst` (their own annotations are kept
     untouched) and stamps every application node originating from `term`
-    with `trace`.
+    with `trace`. Runs on an explicit stack: an application pushes its
+    argument count, then its children; the count, once popped, gathers the
+    built children off `built`.
     """
-    if isinstance(term, Var):
-        return subst.get(term.name, term)
-    return AnnApp(
-        annotate(term.head, subst, trace),
-        tuple(annotate(a, subst, trace) for a in term.args),
-        trace,
-    )
+    built: list[AnnTerm] = []
+    stack: list = [term]
+    while stack:
+        t = stack.pop()
+        if type(t) is int:
+            first = len(built) - t
+            node = AnnApp(built[first - 1], tuple(built[first:]), trace)
+            del built[first - 1:]
+            built.append(node)
+        elif isinstance(t, Var):
+            built.append(subst.get(t.name, t))
+        else:
+            stack.append(len(t.args))
+            stack.extend(reversed(t.args))
+            stack.append(t.head)
+    return built[0]
 
 
 def erase(term: AnnTerm) -> Term:
@@ -357,22 +373,159 @@ def normalize(
     blocked redex witnessing divergence. `max_steps` is a defensive bound
     only; `on_step` is invoked after each reduction with the terms before
     and after.
+
+    Takes exactly the steps that repeated `step` takes, but resumes at the
+    last rewrite instead of searching the whole term again (see `_Focus`).
     """
-    current: AnnTerm = annotate(program.root, {}, ())
-    steps = 0
-    while True:
-        result = step(program, current, strategy, frozen)
-        if isinstance(result, Reduced):
-            steps += 1
-            if max_steps is not None and steps > max_steps:
-                raise MalformedProgramError(f"step limit {max_steps} exceeded")
-            if on_step is not None:
-                on_step(current, result.term, result)
-            current = result.term
-        elif isinstance(result, NormalForm):
-            return Normal(erase(current), steps)
-        else:
-            return Diverges(result, steps)
+    machine = _Focus(program, frozen, max_steps, on_step)
+    if strategy is Strategy.LEFTMOST_OUTERMOST:
+        return machine.outermost()
+    return machine.innermost()
+
+
+class _Focus:
+    """The running term opened at one position (Huet's zipper).
+
+    `frames` lists the ancestors of `focus` from the root down, each as
+    `[node, children, index of the child in focus, whether a child was
+    replaced]`; child 0 is the head, so the indices spell the focus's path.
+    Everything before the focus in the strategy's order is known to hold no
+    redex, so after a rewrite the search goes on from the rewritten
+    position instead of from the root. The whole term is put back together
+    only for `on_step`, in O(depth).
+    """
+
+    def __init__(self, program: Program, frozen: frozenset[str],
+                 max_steps: int | None, on_step: OnStep | None):
+        self.defs = program.def_map
+        self.frozen = frozen
+        self.max_steps = max_steps
+        self.on_step = on_step
+        self.frames: list[list] = []
+        self.steps = 0
+        self.focus: AnnTerm = annotate(program.root, {}, ())
+        self.term = self.focus  # the whole term after the last step, for on_step
+
+    def outermost(self) -> Outcome:
+        """Preorder search. A rewrite leaves every node before the focus
+        unchanged, and whether a node is a redex depends only on its own
+        head, so the search goes on at the new body. Only a rewrite of a
+        head changes a node before it: its parent, examined again."""
+        defs, frames = self.defs, self.frames
+        while True:
+            node = self.focus
+            if isinstance(node, AnnApp):
+                head = node.head
+                if not isinstance(head, Var):
+                    frames.append([node, [head, *node.args], 0, False])
+                    self.focus = head
+                    continue
+                d = defs.get(head.name)
+                if d is not None and len(node.args) == len(d.params):
+                    if head.name in node.trace:
+                        return self._blocked(node)
+                    self._rewrite(node, d)
+                    if frames and frames[-1][2] == 0:
+                        self._up()
+                    continue
+                if node.args and not self._opaque(head.name):
+                    frames.append([node, [head, *node.args], 1, False])
+                    self.focus = node.args[0]
+                    continue
+            # no redex at or below the focus: on to the next subterm in preorder
+            while frames and not self._next():
+                self._up()
+            if not frames:
+                return Normal(erase(self.focus), self.steps)
+
+    def innermost(self) -> Outcome:
+        """Postorder search: a node is examined once its children are done.
+        The arguments of a redex lie before it, so they hold no redex; after
+        the rewrite only the nodes built from the definition body are
+        searched, and the arguments, wherever they occur, are passed over."""
+        defs, frames = self.defs, self.frames
+        normal: tuple = ()  # the last redex's arguments, kept alive for their ids
+        normal_ids: set[int] = set()
+        while True:
+            node = self.focus
+            if isinstance(node, AnnApp) and id(node) not in normal_ids:
+                head = node.head
+                if not isinstance(head, Var):
+                    frames.append([node, [head, *node.args], 0, False])
+                    self.focus = head
+                    continue
+                if node.args and not self._opaque(head.name):
+                    frames.append([node, [head, *node.args], 1, False])
+                    self.focus = node.args[0]
+                    continue
+            # the focus is searched through: examine it, then move on in postorder
+            while True:
+                node = self.focus
+                if isinstance(node, AnnApp) and isinstance(node.head, Var):
+                    d = defs.get(node.head.name)
+                    if d is not None and len(node.args) == len(d.params):
+                        if d.name in node.trace:
+                            return self._blocked(node)
+                        normal = node.args
+                        normal_ids = {id(a) for a in normal}
+                        self._rewrite(node, d)
+                        break
+                if not frames:
+                    return Normal(erase(self.focus), self.steps)
+                if frames[-1][2] == 0 and isinstance(node, Var) and self._opaque(node.name):
+                    self._up()  # the head became an opaque name: the arguments are not searched
+                elif self._next():
+                    break
+                else:
+                    self._up()
+
+    def _opaque(self, name: str) -> bool:
+        return name in self.frozen and name not in self.defs
+
+    def _store(self) -> list:
+        """Write the focus back into the innermost frame; return the frame."""
+        frame = self.frames[-1]
+        kids, i = frame[1], frame[2]
+        if kids[i] is not self.focus:
+            kids[i] = self.focus
+            frame[3] = True
+        return frame
+
+    def _next(self) -> bool:
+        """Move the focus to its next sibling, if it has one."""
+        frame = self._store()
+        kids = frame[1]
+        if frame[2] + 1 == len(kids):
+            return False
+        frame[2] += 1
+        self.focus = kids[frame[2]]
+        return True
+
+    def _up(self) -> None:
+        """Close the innermost frame: its node, rebuilt if a child changed,
+        becomes the focus."""
+        node, kids, _, changed = self._store()
+        self.frames.pop()
+        self.focus = AnnApp(kids[0], tuple(kids[1:]), node.trace) if changed else node
+
+    def _rewrite(self, node: AnnApp, d: Definition) -> None:
+        """Replace the redex in focus by its annotated body."""
+        self.steps += 1
+        if self.max_steps is not None and self.steps > self.max_steps:
+            raise MalformedProgramError(f"step limit {self.max_steps} exceeded")
+        self.focus = annotate(d.body, dict(zip(d.params, node.args)), node.trace + (d.name,))
+        if self.on_step is not None:
+            # the term changes only at the focus between two steps
+            path = self._path()
+            after = replace_at(self.term, path, self.focus)
+            self.on_step(self.term, after, Reduced(after, path, d.name))
+            self.term = after
+
+    def _path(self) -> Path:
+        return tuple(f[2] for f in self.frames)
+
+    def _blocked(self, node: AnnApp) -> Diverges:
+        return Diverges(Blocked(self._path(), node.head.name, node.trace), self.steps)
 
 
 # ---------------------------------------------------------------------------
@@ -481,25 +634,46 @@ def parse_program(text: str, mode: Mode = Mode.FIRST_ORDER) -> Program:
     return Program(tuple(defs), root, mode)
 
 
+def _render(term: Term | AnnTerm, layout: Callable[[App | AnnApp], list]) -> str:
+    """Concatenate `term` on an explicit stack: `layout` spells an
+    application as a list of strings and subterms, in order."""
+    out: list[str] = []
+    stack: list = [term]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, str):
+            out.append(t)
+        elif isinstance(t, Var):
+            out.append(t.name)
+        else:
+            stack.extend(reversed(layout(t)))
+    return "".join(out)
+
+
+def _arg_list(args: tuple) -> list:
+    items: list = ["("]
+    for i, a in enumerate(args):
+        if i:
+            items.append(", ")
+        items.append(a)
+    items.append(")")
+    return items
+
+
 def render_term(term: Term, mode: Mode = Mode.FIRST_ORDER) -> str:
-    if isinstance(term, Var):
-        return term.name
-    head = render_term(term.head, mode)
-    if not term.args and mode is Mode.FIRST_ORDER:
-        return head
-    return f"{head}({', '.join(render_term(a, mode) for a in term.args)})"
+    bare_constants = mode is Mode.FIRST_ORDER
+    return _render(term, lambda t: [t.head] if bare_constants and not t.args
+                   else [t.head, *_arg_list(t.args)])
 
 
 def render_ann_term(term: AnnTerm, mode: Mode = Mode.FIRST_ORDER) -> str:
-    if isinstance(term, Var):
-        return term.name
-    trace = f"[{','.join(term.trace)}]"
-    args = ", ".join(render_ann_term(a, mode) for a in term.args)
-    if mode is Mode.FIRST_ORDER:
-        head = render_ann_term(term.head, mode)
-        return f"{head}{trace}({args})" if term.args else f"{head}{trace}"
-    head = render_ann_term(term.head, mode)
-    return f"{head}({args}){trace}"
+    def layout(t: AnnApp) -> list:
+        trace = f"[{','.join(t.trace)}]"
+        if mode is not Mode.FIRST_ORDER:
+            return [t.head, *_arg_list(t.args), trace]
+        return [t.head, trace, *_arg_list(t.args)] if t.args else [t.head, trace]
+
+    return _render(term, layout)
 
 
 def render_program(program: Program) -> str:

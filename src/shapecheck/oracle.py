@@ -141,15 +141,44 @@ FuelOutcome = FuelNormal | OutOfFuel
 
 
 def _fast(term: Term):
-    if isinstance(term, Var):
-        return term.name
-    return (_fast(term.head), tuple(_fast(a) for a in term.args))
+    """Both conversions run on an explicit stack, so that a deep normal
+    form costs no recursion: a node is pushed with its expanded flag, and
+    an expanded node gathers its converted children off `done`."""
+    done: list = []
+    stack: list = [(term, False)]
+    while stack:
+        t, expanded = stack.pop()
+        if isinstance(t, Var):
+            done.append(t.name)
+        elif expanded:
+            cut = len(done) - len(t.args)
+            node = (done[cut - 1], tuple(done[cut:]))
+            del done[cut - 1:]
+            done.append(node)
+        else:
+            stack.append((t, True))
+            stack.extend((a, False) for a in reversed(t.args))
+            stack.append((t.head, False))
+    return done[0]
 
 
-def _unfast(t) -> Term:
-    if type(t) is str:
-        return Var(t)
-    return App(_unfast(t[0]), tuple(_unfast(a) for a in t[1]))
+def _unfast(term) -> Term:
+    done: list[Term] = []
+    stack: list = [(term, False)]
+    while stack:
+        t, expanded = stack.pop()
+        if type(t) is str:
+            done.append(Var(t))
+        elif expanded:
+            cut = len(done) - len(t[1])
+            node = App(done[cut - 1], tuple(done[cut:]))
+            del done[cut - 1:]
+            done.append(node)
+        else:
+            stack.append((t, True))
+            stack.extend((a, False) for a in reversed(t[1]))
+            stack.append((t[0], False))
+    return done[0]
 
 
 _K = "const"  # template tags

@@ -66,6 +66,13 @@ def spine(term):
     return names, term
 
 
+def expo(n):
+    """f0(x) = c(x), fi(x) = f{i-1}(f{i-1}(x)), root fn(k): 2^(n+1)-1 steps
+    to c^(2^n)(k) under either strategy."""
+    defs = ["f0(x) = c(x)"] + [f"f{i}(x) = f{i - 1}(f{i - 1}(x))" for i in range(1, n + 1)]
+    return C.parse_program("let rec " + "\nand ".join(defs) + f"\nin f{n}(k)")
+
+
 class TestDeepInput:
     @pytest.mark.parametrize("mode", [FO, HO])
     def test_parse_depth_ten_thousand(self, mode):
@@ -83,6 +90,43 @@ class TestDeepInput:
         assert C.read_term(toks, {"x"}) == C.App(C.Var("f"), (C.Var("x"), C.App(C.Var("c"), ())))
         with pytest.raises(C.ParseError, match="unexpected trailing input"):
             C.read_term(toks + toks)
+
+    def test_render_ann_term_depth_ten_thousand(self):
+        n = 10_000
+        term = C.Var("z")
+        for i in range(n):
+            term = C.AnnApp(C.Var("f"), (term,), ("g",) if i % 2 else ())
+        text = C.render_ann_term(term)
+        assert text == "f[g](f[](" * (n // 2) + "z" + "))" * (n // 2)
+        assert C.render_ann_term(term, HO) == "f(" * n + "z" + "".join(
+            ")[g]" if i % 2 else ")[]" for i in range(n))
+        assert C.render_term(C.erase(term)) == "f(" * n + "z" + ")" * n
+
+    def test_normalize_depth_fifteen_hundred(self):
+        n = 1500
+        p = C.parse_program("let rec id(x) = x in " + "id(" * n + "k" + ")" * n)
+        for strategy in (LO, LI):
+            assert C.normalize(p, strategy) == C.Normal(C.App(C.Var("k"), ()), n)
+
+
+class TestScale:
+    """The machine's work is linear in the steps: expo-13 takes 16 383 steps
+    on a term 8192 deep, which the rescanning loop would take hours for."""
+
+    @pytest.mark.parametrize("strategy", [LO, LI])
+    def test_expo_thirteen(self, strategy):
+        out = C.normalize(expo(13), strategy)
+        assert out.steps == 2 ** 14 - 1
+        assert spine(out.term) == (["c"] * 2 ** 13, C.App(C.Var("k"), ()))
+
+    @pytest.mark.parametrize("n", [10, 12])
+    def test_fuel_oracle_agrees_on_expo(self, n):
+        program = expo(n)
+        plain = O.fuel_normalize(program, LO)
+        assert isinstance(plain, O.FuelNormal) and plain.steps == 2 ** (n + 1) - 1
+        monitored = C.normalize(program)
+        assert monitored.steps == plain.steps
+        assert spine(monitored.term) == spine(plain.term) == (["c"] * 2 ** n, C.App(C.Var("k"), ()))
 
 
 class TestAnnotate:
@@ -207,3 +251,116 @@ class TestNormalize:
             li = C.normalize(program, LI)
             if isinstance(lo, C.Normal) and isinstance(li, C.Normal):
                 assert lo.term == li.term
+
+
+def step_loop(program, strategy=LO, frozen=frozenset(), max_steps=None):
+    """`normalize` spelled as a loop over `step`, the reference semantics;
+    returns the outcome and the rendered `on_step` log."""
+    log = []
+    current = C.annotate(program.root, {}, ())
+    steps = 0
+    while True:
+        result = C.step(program, current, strategy, frozen)
+        if isinstance(result, C.NormalForm):
+            return C.Normal(C.erase(current), steps), log
+        if isinstance(result, C.Blocked):
+            return C.Diverges(result, steps), log
+        steps += 1
+        if max_steps is not None and steps > max_steps:
+            raise C.MalformedProgramError(f"step limit {max_steps} exceeded")
+        log.append(logged(program, current, result.term, result))
+        current = result.term
+
+
+def logged(program, before, after, info):
+    return (C.render_ann_term(before, program.mode), C.render_ann_term(after, program.mode),
+            info.path, info.name)
+
+
+def machine(program, strategy=LO, frozen=frozenset(), max_steps=None):
+    log = []
+    last = [None]
+
+    def on_step(before, after, info):
+        assert info.term is after
+        assert last[0] is None or before is last[0]  # each step starts from the last one's term
+        last[0] = after
+        log.append(logged(program, before, after, info))
+
+    out = C.normalize(program, strategy, frozen, max_steps, on_step)
+    assert C.normalize(program, strategy, frozen, max_steps) == out
+    return out, log
+
+
+FROZEN_SETS = [frozenset(), frozenset({"c1", "k", "f0"})]
+
+
+class TestMachineAgainstStep:
+    """`normalize` takes exactly the steps a loop over `step` takes: same
+    outcome, same witness, same `on_step` sequence."""
+
+    @pytest.mark.parametrize("frozen", FROZEN_SETS, ids=["thawed", "frozen"])
+    @pytest.mark.parametrize("strategy", [LO, LI], ids=["outermost", "innermost"])
+    @pytest.mark.parametrize("mode", [FO, HO], ids=["fo", "ho"])
+    def test_generated_programs(self, mode, strategy, frozen):
+        outcomes = set()
+        for seed in (0, 1):
+            for program in O.gen_programs(seed, O.GenParams(count=300, mode=mode)):
+                expected = step_loop(program, strategy, frozen)
+                assert machine(program, strategy, frozen) == expected, C.render_program(program)
+                outcomes.add(type(expected[0]))
+        assert outcomes == {C.Normal, C.Diverges}
+
+    @pytest.mark.parametrize("text, mode", [
+        (F.ID_LAM, FO), (F.LOOP_LAM, FO), (F.NIL_LAM, HO), (F.ACHAIN_LAM, HO),
+        (F.DELTA_LAM, HO), (F.FSTOP_LAM, HO), (F.ID_LAM, HO), (F.LOOP_LAM, HO),
+    ])
+    @pytest.mark.parametrize("strategy", [LO, LI], ids=["outermost", "innermost"])
+    def test_fixtures(self, text, mode, strategy):
+        program = C.parse_program(text, mode)
+        for frozen in FROZEN_SETS + [frozenset({"int", "list", "done", "fortytwo"})]:
+            assert machine(program, strategy, frozen) == step_loop(program, strategy, frozen)
+
+    @pytest.mark.parametrize("strategy", [LO, LI], ids=["outermost", "innermost"])
+    def test_rewritten_head_makes_the_parent_a_redex(self, strategy):
+        program = C.parse_program("let rec id(x) = x and g(y) = y in id(g)(k)", HO)
+        out, log = machine(program, strategy)
+        assert (out, log) == step_loop(program, strategy)
+        assert out == C.Normal(C.Var("k"), 2)
+        assert [(path, name) for _, _, path, name in log] == [((0,), "id"), ((), "g")]
+
+    @pytest.mark.parametrize("strategy", [LO, LI], ids=["outermost", "innermost"])
+    def test_rewritten_head_becomes_opaque(self, strategy):
+        program = C.parse_program("let rec id(x) = x and f(y) = y in id(c)(f(k))", HO)
+        frozen = frozenset({"c"})
+        out, log = machine(program, strategy, frozen)
+        assert (out, log) == step_loop(program, strategy, frozen)
+        assert out.steps == 1 and C.render_term(out.term, HO) == "c(f(k))"
+
+    def test_shared_argument_under_innermost(self):
+        program = C.parse_program(
+            "let rec f(x) = g(x, x) and g(a, b) = p(b, a) and h(y) = q(y) in f(f(h(k)))")
+        assert machine(program, LO) == step_loop(program, LO)
+        out, log = machine(program, LI)
+        assert (out, log) == step_loop(program, LI)
+        assert C.render_term(out.term) == "p(p(q(k), q(k)), p(q(k), q(k)))"
+        assert [name for *_, name in log] == ["h", "f", "g", "f", "g"]
+
+    @pytest.mark.parametrize("strategy", [LO, LI], ids=["outermost", "innermost"])
+    def test_blocked_witness_path(self, strategy):
+        program = C.parse_program("let rec loop(a) = c(d, loop(a)) in e(k, loop(k))")
+        out, log = machine(program, strategy)
+        assert (out, log) == step_loop(program, strategy)
+        assert out.witness == C.Blocked((2, 2), "loop", ("loop",))
+
+    @pytest.mark.parametrize("limit", [0, 1, 3, 6])
+    @pytest.mark.parametrize("strategy", [LO, LI], ids=["outermost", "innermost"])
+    def test_max_steps_raises_at_the_same_step(self, strategy, limit):
+        program = expo(2)  # seven steps
+        with pytest.raises(C.MalformedProgramError, match=f"step limit {limit} exceeded"):
+            step_loop(program, strategy, max_steps=limit)
+        seen = []
+        with pytest.raises(C.MalformedProgramError, match=f"step limit {limit} exceeded"):
+            C.normalize(program, strategy, max_steps=limit, on_step=lambda *a: seen.append(a))
+        assert len(seen) == limit
+        assert C.normalize(program, strategy, max_steps=7).steps == 7

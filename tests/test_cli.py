@@ -133,6 +133,18 @@ class TestNorm:
         code, out = run(capsys, ["norm", "--strategy", "innermost", path])
         assert (code, out) == (0, "normal form: int\nsteps: 2\n")
 
+    def test_deep_input_normalizes(self, tmp_path, capsys):
+        n = 1500
+        path = write(tmp_path, "deep.lam", "let rec id(x) = x in " + "id(" * n + "k" + ")" * n)
+        code, out = run(capsys, ["norm", path])
+        assert (code, out) == (0, "normal form: k\nsteps: 1500\n")
+
+    def test_deep_normal_form_is_printed(self, tmp_path, capsys):
+        defs = ["f0(x) = c(x)"] + [f"f{i}(x) = f{i - 1}(f{i - 1}(x))" for i in range(1, 11)]
+        path = write(tmp_path, "expo10.lam", "let rec " + "\nand ".join(defs) + "\nin f10(k)\n")
+        code, out = run(capsys, ["norm", path])
+        assert (code, out) == (0, f"normal form: {'c(' * 1024}k{')' * 1024}\nsteps: 2047\n")
+
     def test_multiple_files_emitted_in_input_order(self, tmp_path, capsys):
         a = write(tmp_path, "id.lam", F.ID_LAM)
         b = write(tmp_path, "loop.lam", F.LOOP_LAM)
