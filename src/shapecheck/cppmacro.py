@@ -388,7 +388,9 @@ def compare_first_order(defs: Mapping[str, MacroDef], call: TokenSeq) -> Agreeme
         return AgreementReport(False, "mismatch", cpp_text, calc_text,
                                "normalization finished but expansion blocked")
     expanded_term = _term_of_tokens(expanded, "the expansion") if expanded else None
-    if expanded_term != outcome.term:
+    # `!=` on terms recurses once per nesting level; in a first-order system
+    # every name on both sides is an application, so renderings compare exactly
+    if expanded_term is None or calculus.render_term(expanded_term) != calc_text:
         return AgreementReport(False, "mismatch", cpp_text, calc_text,
                                "expanded output differs from the normal form")
     return AgreementReport(True, "normalized", cpp_text, calc_text,

@@ -1,19 +1,19 @@
 """Independent cross-checking machinery.
 
-Fuel-bounded unmonitored normalization, the two rejected monitoring
-strategies (whole-term repetition and head-function repetition), value
-enumeration with representation heads, and deterministic random corpus
-generators for programs, declarations and macro systems. Everything is a
-pure function of its inputs (generators of their seed).
+One plain (unmonitored) reduction machine, sharing no code with the
+monitored one it checks, behind fuel-bounded normalization, `plain_steps`
+and the two rejected monitoring strategies (whole-term repetition and
+head-function repetition); value enumeration with representation heads,
+and deterministic random corpus generators for programs, declarations and
+macro systems. Everything is a pure function of its inputs (generators of
+their seed).
 """
 from __future__ import annotations
 
 import random
-import sys
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from . import calculus, cppmacro
 from . import decls as decl_mod
@@ -43,82 +43,8 @@ class IllTypedError(Exception):
     pass
 
 
-@contextmanager
-def _deep_recursion(limit: int = 100_000):
-    old = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old, limit))
-    try:
-        yield
-    finally:
-        sys.setrecursionlimit(old)
-
-
 # ---------------------------------------------------------------------------
 # Plain (unmonitored) reduction
-
-
-def _is_redex(t: Term, defs: Mapping[str, Definition]) -> Definition | None:
-    if isinstance(t, App) and isinstance(t.head, Var):
-        d = defs.get(t.head.name)
-        if d is not None and len(t.args) == len(d.params):
-            return d
-    return None
-
-
-def _plain_subst(term: Term, sub: Mapping[str, Term]) -> Term:
-    if isinstance(term, Var):
-        return sub.get(term.name, term)
-    return App(_plain_subst(term.head, sub), tuple(_plain_subst(a, sub) for a in term.args))
-
-
-def find_redex_path(term: Term, defs: Mapping[str, Definition],
-                    strategy: Strategy = Strategy.LEFTMOST_OUTERMOST):
-    """Path of the strategy-first redex, or None in normal form."""
-    if strategy is Strategy.LEFTMOST_OUTERMOST:
-        stack = [((), term)]
-        while stack:
-            path, t = stack.pop()
-            if isinstance(t, Var):
-                continue
-            if _is_redex(t, defs) is not None:
-                return path
-            kids = (t.head,) + t.args
-            for i in range(len(kids) - 1, -1, -1):
-                stack.append((path + (i,), kids[i]))
-        return None
-    # leftmost-innermost: first redex in postorder
-    stack = [((), term, False)]
-    while stack:
-        path, t, expanded = stack.pop()
-        if isinstance(t, Var):
-            continue
-        if expanded:
-            if _is_redex(t, defs) is not None:
-                return path
-            continue
-        stack.append((path, t, True))
-        kids = (t.head,) + t.args
-        for i in range(len(kids) - 1, -1, -1):
-            stack.append((path + (i,), kids[i], False))
-    return None
-
-
-def beta_step_at(program: Program, term: Term, path: tuple[int, ...]) -> Term:
-    """One plain reduction step at the given position (0 is the head child)."""
-    spine: list[App] = []
-    node = term
-    for i in path:
-        spine.append(node)
-        node = ((node.head,) + node.args)[i]
-    d = _is_redex(node, program.def_map)
-    if d is None:
-        raise ValueError(f"no redex at path {path}")
-    new = _plain_subst(d.body, dict(zip(d.params, node.args)))
-    for parent, i in zip(reversed(spine), reversed(path)):
-        kids = list((parent.head,) + parent.args)
-        kids[i] = new
-        new = App(kids[0], tuple(kids[1:]))
-    return new
 
 
 @dataclass(frozen=True)
@@ -135,9 +61,9 @@ class OutOfFuel:
 FuelOutcome = FuelNormal | OutOfFuel
 
 
-# The leftmost-outermost machine runs on a throwaway representation
-# (variables and names are strings, applications are (head, args) pairs)
-# because it may take hundreds of thousands of steps per program.
+# The plain machine runs on a throwaway representation (variables and names
+# are strings, applications are (head, args) pairs) because it may take
+# hundreds of thousands of steps per program.
 
 
 def _fast(term: Term):
@@ -181,83 +107,136 @@ def _unfast(term) -> Term:
     return done[0]
 
 
-_K = "const"  # template tags
+_K = "const"  # template opcodes
 _P = "param"
 _A = "app"
 
 
-def _compile_template(t, params: tuple[str, ...]):
-    """Compile a fast term into an instantiation template. Subtrees
-    without parameters are shared between all instantiations."""
-    if type(t) is str:
-        if t in params:
-            return (_P, params.index(t))
-        return (_K, t)
-    head = _compile_template(t[0], params)
-    args = tuple(_compile_template(a, params) for a in t[1])
-    if head[0] is _K and all(a[0] is _K for a in args):
-        return (_K, (head[1], tuple(a[1] for a in args)))
-    return (_A, head, args)
+def _compile_template(t, params: tuple[str, ...]) -> list[tuple]:
+    """Compile a fast term into postorder code for `_instantiate`:
+    `(_K, subterm)` pushes a subterm without parameters, shared between all
+    instantiations, `(_P, i)` pushes argument i, and `(_A, n)` pops a head
+    and n arguments and pushes their application."""
+    code: list[tuple] = []
+    const: list[bool] = []  # per finished subtree: its code is one _K op
+    stack: list = [(t, False)]
+    while stack:
+        t, expanded = stack.pop()
+        if type(t) is str:
+            code.append((_P, params.index(t)) if t in params else (_K, t))
+            const.append(t not in params)
+        elif expanded:
+            n = 1 + len(t[1])
+            folded = all(const[-n:])
+            del const[-n:]
+            if folded:
+                del code[-n:]
+            code.append((_K, t) if folded else (_A, n - 1))
+            const.append(folded)
+        else:
+            stack.append((t, True))
+            stack.extend((a, False) for a in reversed(t[1]))
+            stack.append((t[0], False))
+    return code
 
 
-def _instantiate(c, args):
-    tag = c[0]
-    if tag is _K:
-        return c[1]
-    if tag is _P:
-        return args[c[1]]
-    return (_instantiate(c[1], args), tuple(_instantiate(a, args) for a in c[2]))
+def _instantiate(code: list[tuple], args: tuple):
+    vals: list = []
+    push = vals.append
+    for op, x in code:
+        if op is _K:
+            push(x)
+        elif op is _P:
+            push(args[x])
+        else:
+            cut = len(vals) - x
+            node = (vals[cut - 1], tuple(vals[cut:]))
+            del vals[cut - 1:]
+            push(node)
+    return vals[0]
 
 
-def _lo_run(program: Program, fuel: int | None) -> tuple[str, Term | None, int]:
-    """Leftmost-outermost machine. Keeps a zipper to the current focus
-    instead of rebuilding whole terms, so divergent runs stay cheap per
-    step even as the (shared) term grows."""
+def _whole(focus, stack: list, built: list):
+    """The whole term, put back together from the focus and the frames."""
+    end = len(built)
+    for kids, start in reversed(stack):
+        rebuilt = built[start:end] + [focus] + list(kids[end - start + 1:])
+        focus = (rebuilt[0], tuple(rebuilt[1:]))
+        end = start
+    return focus
+
+
+def _plain_run(program: Program, strategy: Strategy, fuel: int,
+               observe: Callable | None = None):
+    """A zipper to the focus (Huet, "The Zipper", JFP 1997), so that a step
+    costs no walk of the whole term. A frame is (the children of a node,
+    child 0 its head; the index on `built` where their rebuilt copies
+    start). Tuples, unlike lists, drop out of the cyclic collector's scans
+    once their contents do, so a deep zipper does not slow every
+    collection down. Outermost
+    tests a node on the way down; innermost once its children are done,
+    passing over the last redex's arguments, which are normal. Both test
+    a rebuilt node on the way up, whose head may have just reduced to a
+    defined name. `observe(name, path, whole term)` sees each redex found
+    before the fuel check; a value other than None ends the run with that
+    value."""
     defs = {
         name: (len(d.params), _compile_template(_fast(d.body), d.params))
         for name, d in program.def_map.items()
     }
     get_def = defs.get
+    outermost = strategy is Strategy.LEFTMOST_OUTERMOST
     steps = 0
+    normal: tuple = ()  # innermost: the last redex's arguments
     focus = _fast(program.root)
-    stack: list[list] = []  # [children, rebuilt-so-far] frames
+    stack: list[tuple] = []
+    built: list = []
     while True:
+        d = None
         if type(focus) is tuple:
             h = focus[0]
-            d = get_def(h) if type(h) is str else None
-            if d is not None and d[0] == len(focus[1]):
-                if fuel is not None and steps >= fuel:
-                    return ("fuel", None, steps)
-                steps += 1
-                focus = _instantiate(d[1], focus[1])
+            if outermost and type(h) is str:
+                d = get_def(h)
+                if d is not None and d[0] != len(focus[1]):
+                    d = None
+            if d is None and (outermost or not any(a is focus for a in normal)):
+                stack.append(((h,) + focus[1], len(built)))
+                focus = h
                 continue
-            stack.append([(h,) + focus[1], []])
-            focus = h
-            continue
-        done = focus
-        retry = False
-        while stack:
-            fr = stack[-1]
-            done_list = fr[1]
-            done_list.append(done)
-            kids = fr[0]
-            if len(done_list) < len(kids):
-                focus = kids[len(done_list)]
-                retry = True
-                break
-            stack.pop()
-            rebuilt = (done_list[0], tuple(done_list[1:]))
-            h = rebuilt[0]
-            d = get_def(h) if type(h) is str else None
-            if d is not None and d[0] == len(rebuilt[1]):
-                # the head has reduced to a defined name, retest the node
-                focus = rebuilt
-                retry = True
-                break
-            done = rebuilt
-        if retry:
-            continue
-        return ("normal", _unfast(done), steps)
+        if d is None:
+            # the focus is done: go up to the next child, or to a rebuilt redex
+            done = focus
+            while stack:
+                kids, start = stack[-1]
+                built.append(done)
+                if len(built) - start < len(kids):
+                    focus = kids[len(built) - start]
+                    break
+                stack.pop()
+                h = built[start]
+                done = (h, tuple(built[start + 1:]))
+                del built[start:]
+                d = get_def(h) if type(h) is str else None
+                if d is not None and d[0] == len(done[1]):
+                    focus = done
+                    break
+                d = None
+            else:
+                return FuelNormal(_unfast(done), steps)
+            if d is None:
+                continue
+        if observe is not None:
+            ends = [start for _, start in stack[1:]] + [len(built)]
+            path = tuple(end - start for (_, start), end in zip(stack, ends))
+            verdict = observe(focus[0], path, _whole(focus, stack, built))
+            if verdict is not None:
+                return verdict
+        if steps >= fuel:
+            return OutOfFuel(steps)
+        steps += 1
+        if not outermost:
+            normal = focus[1]
+        focus = _instantiate(d[1], focus[1])
 
 
 def fuel_normalize(program: Program, strategy: Strategy = Strategy.LEFTMOST_OUTERMOST,
@@ -266,22 +245,20 @@ def fuel_normalize(program: Program, strategy: Strategy = Strategy.LEFTMOST_OUTE
     steps."""
     if fuel < 1:
         raise ValueError("fuel must be at least 1")
-    if strategy is Strategy.LEFTMOST_OUTERMOST:
-        status, term, steps = _lo_run(program, fuel)
-        if status == "normal":
-            return FuelNormal(term, steps)
-        return OutOfFuel(steps)
-    term = program.root
-    steps = 0
-    defs = program.def_map
-    while True:
-        path = find_redex_path(term, defs, strategy)
-        if path is None:
-            return FuelNormal(term, steps)
-        if steps >= fuel:
-            return OutOfFuel(steps)
-        steps += 1
-        term = beta_step_at(program, term, path)
+    return _plain_run(program, strategy, fuel)
+
+
+def plain_steps(program: Program, strategy: Strategy,
+                count: int) -> list[tuple[tuple[int, ...], str, Term]]:
+    """The first `count` plain steps, each as (path, name, term before)."""
+    log: list = []
+
+    def observe(name, path, term):
+        if len(log) < count:
+            log.append((path, name, _unfast(term)))
+
+    _plain_run(program, strategy, count, observe)
+    return log
 
 
 # ---------------------------------------------------------------------------
@@ -308,26 +285,51 @@ class MonitorOutOfSteps:
 MonitorOutcome = MonitorNormal | MonitorBlocked | MonitorOutOfSteps
 
 
+def _monitor(program: Program, strategy: Strategy, max_steps: int,
+             observe: Callable) -> MonitorOutcome:
+    """A run normal only after its last allowed step is out of steps."""
+    out = _plain_run(program, strategy, max_steps, observe)
+    if isinstance(out, FuelNormal) and out.steps < max_steps:
+        return MonitorNormal(out.term, out.steps)
+    if isinstance(out, (FuelNormal, OutOfFuel)):
+        return MonitorOutOfSteps(out.steps)
+    return out
+
+
 def naive_whole_term_monitor(program: Program,
                              strategy: Strategy = Strategy.LEFTMOST_OUTERMOST,
                              max_steps: int = 1000) -> MonitorOutcome:
     """Blocks when the whole current term repeats an earlier one. Misses
     divergence that never repeats a term."""
-    with _deep_recursion():
-        defs = program.def_map
-        term = program.root
-        seen = {term}
-        steps = 0
-        while steps < max_steps:
-            path = find_redex_path(term, defs, strategy)
-            if path is None:
-                return MonitorNormal(term, steps)
-            term = beta_step_at(program, term, path)
-            steps += 1
-            if term in seen:
-                return MonitorBlocked(steps + 1, "whole term repeated")
-            seen.add(term)
-        return MonitorOutOfSteps(steps)
+    table: dict[tuple, int] = {}  # (head number, argument numbers) -> number
+    numbers: dict[int, tuple] = {}  # id(node) -> (node, number); the node is kept alive
+    seen: set[int] = set()
+
+    def number(term) -> int:
+        """Hash-consing: equal terms get one number, and each node object is
+        numbered once, so a step costs only its new nodes, never a walk of
+        the (shared) term as a tree, nor a recursive hash or `==`."""
+        stack = [term]
+        while stack:
+            t = stack.pop()
+            kids = (t[0],) + t[1]
+            pending = [k for k in kids if type(k) is tuple and id(k) not in numbers]
+            if pending:
+                stack.append(t)
+                stack.extend(pending)
+                continue
+            key = tuple(k if type(k) is str else numbers[id(k)][1] for k in kids)
+            numbers[id(t)] = (t, table.setdefault(key, len(table)))
+        return numbers[id(term)][1]
+
+    def observe(name, path, term):
+        # a normal form repeats no earlier term, so only terms with a redex are kept
+        n = number(term)
+        if n in seen:
+            return MonitorBlocked(len(seen) + 1, "whole term repeated")
+        seen.add(n)
+
+    return _monitor(program, strategy, max_steps, observe)
 
 
 def head_function_monitor(program: Program,
@@ -335,24 +337,16 @@ def head_function_monitor(program: Program,
                           max_steps: int = 1000) -> MonitorOutcome:
     """Blocks when the chosen redex's head function was already expanded
     anywhere in the run. Blocks some normalizing programs."""
-    defs = program.def_map
-    term = program.root
     expanded: set[str] = set()
-    steps = 0
-    while steps < max_steps:
-        path = find_redex_path(term, defs, strategy)
-        if path is None:
-            return MonitorNormal(term, steps)
-        node = term
-        for i in path:
-            node = ((node.head,) + node.args)[i]
-        name = node.head.name
+
+    def observe(name, path, term):
+        if len(expanded) >= max_steps:
+            return None  # this redex would be step max_steps + 1
         if name in expanded:
-            return MonitorBlocked(steps + 1, f"head {name!r} already expanded")
+            return MonitorBlocked(len(expanded) + 1, f"head {name!r} already expanded")
         expanded.add(name)
-        term = beta_step_at(program, term, path)
-        steps += 1
-    return MonitorOutOfSteps(steps)
+
+    return _monitor(program, strategy, max_steps, observe)
 
 
 # ---------------------------------------------------------------------------
@@ -711,11 +705,10 @@ def _check_traces(term: calculus.AnnTerm, defs: Mapping[str, Definition]) -> str
 def run_measure_suite(seed: int = 2024, count: int = 500,
                       modes: Sequence[Mode] = (Mode.FIRST_ORDER, Mode.CLOSED_HIGHER_ORDER),
                       strategies: Sequence[Strategy] = (Strategy.LEFTMOST_OUTERMOST,
-                                                        Strategy.LEFTMOST_INNERMOST),
-                      full_invariants: bool = False) -> SuiteResult:
+                                                        Strategy.LEFTMOST_INNERMOST)) -> SuiteResult:
     """Every monitored reduction step must strictly decrease the tree
-    measure (and, optionally, keep traces valid and simulate one plain
-    step)."""
+    measure, keep traces valid, and be the plain step of the same strategy:
+    same path, same name, same term before it."""
     from . import measure
 
     result = SuiteResult("measure decrease", 0)
@@ -724,22 +717,23 @@ def run_measure_suite(seed: int = 2024, count: int = 500,
         programs = gen_programs(seed + mi, GenParams(count=per_mode, mode=mode))
         for pi, program in enumerate(programs):
             for strategy in strategies:
-                def on_step(before, after, info, _p=program, _pi=pi, _mode=mode):
+                log: list = []
+
+                def on_step(before, after, info, _p=program, _pi=pi, _mode=mode, _log=log):
                     result.checked += 1
                     if not measure.assert_decrease(before, after, _mode):
                         result.failures.append(
                             f"measure did not decrease (program {_pi}, {_mode.value}): "
                             f"{calculus.render_program(_p)!r}"
                         )
-                    if full_invariants:
-                        bad = _check_traces(after, _p.def_map)
-                        if bad:
-                            result.failures.append(f"trace invariant: {bad} (program {_pi})")
-                        plain = beta_step_at(_p, calculus.erase(before), info.path)
-                        if plain != calculus.erase(after):
-                            result.failures.append(f"simulation failed (program {_pi})")
+                    bad = _check_traces(after, _p.def_map)
+                    if bad:
+                        result.failures.append(f"trace invariant: {bad} (program {_pi})")
+                    _log.append((info.path, info.name, calculus.erase(before)))
 
                 calculus.normalize(program, strategy, on_step=on_step)
+                if log != plain_steps(program, strategy, len(log)):
+                    result.failures.append(f"simulation failed (program {pi}, {strategy.value})")
     return result
 
 

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from shapecheck import calculus as C
@@ -122,11 +124,13 @@ class TestScale:
     @pytest.mark.parametrize("n", [10, 12])
     def test_fuel_oracle_agrees_on_expo(self, n):
         program = expo(n)
-        plain = O.fuel_normalize(program, LO)
-        assert isinstance(plain, O.FuelNormal) and plain.steps == 2 ** (n + 1) - 1
-        monitored = C.normalize(program)
-        assert monitored.steps == plain.steps
-        assert spine(monitored.term) == spine(plain.term) == (["c"] * 2 ** n, C.App(C.Var("k"), ()))
+        for strategy in (LO, LI):
+            plain = O.fuel_normalize(program, strategy)
+            assert isinstance(plain, O.FuelNormal) and plain.steps == 2 ** (n + 1) - 1
+            monitored = C.normalize(program, strategy)
+            assert monitored.steps == plain.steps
+            assert spine(monitored.term) == spine(plain.term) == (["c"] * 2 ** n,
+                                                                  C.App(C.Var("k"), ()))
 
 
 class TestAnnotate:
@@ -161,12 +165,23 @@ class TestErase:
         assert C.erase(C.Var("x")) == C.Var("x")
 
     def test_reduced_successor_erases_to_one_plain_step(self):
-        # each monitored step must be a plain reduction step at the same path
-        for program in O.gen_programs(11, O.GenParams(count=40)):
-            def check(before, after, info, _p=program):
-                assert O.beta_step_at(_p, C.erase(before), info.path) == C.erase(after)
+        # the monitored steps are the plain steps: same path, name and term
+        # before; the term after each is the next one's, or the normal form
+        programs = O.gen_programs(11, O.GenParams(count=40))
+        for program, strategy in itertools.product(programs, (LO, LI)):
+            log, afters = [], []
 
-            C.normalize(program, on_step=check)
+            def check(before, after, info):
+                log.append((info.path, info.name, C.erase(before)))
+                afters.append(C.erase(after))
+
+            C.normalize(program, strategy, on_step=check)
+            plain = O.plain_steps(program, strategy, len(log) + 1)
+            assert plain[:len(log)] == log
+            nexts = [before for _, _, before in plain[1:]]
+            if log and len(plain) == len(log):
+                nexts.append(O.fuel_normalize(program, strategy, len(log)).term)
+            assert afters == nexts
 
 
 class TestFindRedexes:

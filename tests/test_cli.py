@@ -192,6 +192,15 @@ class TestCompareCpp:
         path = write(tmp_path, "nil.cpp", F.NIL_CPP)
         assert cli.main(["compare-cpp", path]) == 2
 
+    def test_deep_expansion_agrees(self, tmp_path, capsys):
+        # expo-8 expands to a 256-deep term; the comparison must not recurse
+        defs = ["#define f0(x) c(x)"] + [f"#define f{i}(x) f{i - 1}(f{i - 1}(x))"
+                                         for i in range(1, 9)]
+        path = write(tmp_path, "expo8.cpp", "\n".join(defs) + "\nf8(k)\n")
+        code, out = run(capsys, ["compare-cpp", path])
+        assert code == 0
+        assert out.startswith("agreement: yes (normalized)\n")
+
 
 class TestSelftest:
     def test_small_run_passes(self, capsys):

@@ -38,21 +38,40 @@ class TestFuelNormalize:
         assert O.fuel_normalize(p, LO, 10) == O.FuelNormal(C.Var("fortytwo"), 4)
 
 
-class TestBetaStepAt:
+class TestPlainSteps:
     def test_step_at_root(self):
         p = C.parse_program(F.ID_LAM)
         inner = C.App(C.Var("id"), (C.App(C.Var("int"), ()),))
-        assert O.beta_step_at(p, p.root, ()) == inner
+        assert O.plain_steps(p, LO, 2) == [((), "id", p.root), ((), "id", inner)]
 
     def test_step_at_argument(self):
         p = C.parse_program(F.ID_LAM)
-        stepped = O.beta_step_at(p, p.root, (1,))
-        assert stepped == C.App(C.Var("id"), (C.App(C.Var("int"), ()),))
+        inner = C.App(C.Var("id"), (C.App(C.Var("int"), ()),))
+        assert O.plain_steps(p, LI, 2) == [((1,), "id", p.root), ((), "id", inner)]
 
     def test_no_redex(self):
-        p = C.parse_program(F.ID_LAM)
-        with pytest.raises(ValueError):
-            O.beta_step_at(p, C.App(C.Var("int"), ()), ())
+        assert O.plain_steps(C.parse_program("c(int)"), LO, 5) == []
+        assert O.plain_steps(C.parse_program("c(int)"), LI, 5) == []
+
+    def test_count_bounds_the_steps(self):
+        p = C.parse_program(F.LOOP_LAM)
+        assert [path for path, _, _ in O.plain_steps(p, LO, 3)] == [(), (), ()]
+        assert O.plain_steps(p, LO, 0) == []
+
+
+class TestPlainMachineScale:
+    """One zipper machine serves both strategies, so innermost reduction no
+    longer rescans the term from the root on every step."""
+
+    def test_innermost_loop_runs_out_of_default_fuel(self):
+        assert O.fuel_normalize(C.parse_program(F.LOOP_LAM), LI) == O.OutOfFuel(100_000)
+
+    @pytest.mark.parametrize("strategy", [LO, LI])
+    def test_deep_definition_body(self, strategy):
+        body = "c(" * 10_000 + "x" + ")" * 10_000
+        out = O.fuel_normalize(C.parse_program(f"let rec f(x) = {body} in f(k)"), strategy)
+        assert isinstance(out, O.FuelNormal) and out.steps == 1
+        assert C.render_term(out.term) == body.replace("x", "k")
 
 
 class TestRejectedMonitors:
@@ -79,6 +98,36 @@ class TestRejectedMonitors:
     def test_head_monitor_normalizes_redex_free_program(self):
         out = O.head_function_monitor(C.parse_program("c(int)"))
         assert isinstance(out, O.MonitorNormal) and out.steps == 0
+
+    W = "let rec w() = w() in w()"
+    INT = C.App(C.Var("int"), ())
+    # max_steps 0..3: a run normal only after its last allowed step is out
+    # of steps, the whole-term monitor checks the term after the last step,
+    # and the head monitor never checks the redex of step max_steps + 1
+    PINNED = [
+        (W, "whole", [O.MonitorOutOfSteps(0), O.MonitorBlocked(2, "whole term repeated"),
+                      O.MonitorBlocked(2, "whole term repeated"),
+                      O.MonitorBlocked(2, "whole term repeated")]),
+        (W, "head", [O.MonitorOutOfSteps(0), O.MonitorOutOfSteps(1),
+                     O.MonitorBlocked(2, "head 'w' already expanded"),
+                     O.MonitorBlocked(2, "head 'w' already expanded")]),
+        (F.LOOP_LAM, "whole", [O.MonitorOutOfSteps(n) for n in range(4)]),
+        (F.LOOP_LAM, "head", [O.MonitorOutOfSteps(0), O.MonitorOutOfSteps(1),
+                              O.MonitorBlocked(2, "head 'loop' already expanded"),
+                              O.MonitorBlocked(2, "head 'loop' already expanded")]),
+        (F.ID_LAM, "whole", [O.MonitorOutOfSteps(0), O.MonitorOutOfSteps(1),
+                             O.MonitorOutOfSteps(2), O.MonitorNormal(INT, 2)]),
+        (F.ID_LAM, "head", [O.MonitorOutOfSteps(0), O.MonitorOutOfSteps(1),
+                            O.MonitorBlocked(2, "head 'id' already expanded"),
+                            O.MonitorBlocked(2, "head 'id' already expanded")]),
+    ]
+
+    @pytest.mark.parametrize("strategy", [LO, LI])
+    @pytest.mark.parametrize("text,monitor,expected", PINNED)
+    def test_monitors_at_small_step_bounds(self, strategy, text, monitor, expected):
+        run = O.naive_whole_term_monitor if monitor == "whole" else O.head_function_monitor
+        p = C.parse_program(text)
+        assert [run(p, strategy, n) for n in range(4)] == expected
 
 
 class TestEnumerate:
@@ -187,7 +236,7 @@ class TestSuites:
         assert O.run_monitor_demos().ok
 
     def test_small_measure_suite(self):
-        r = O.run_measure_suite(5, 60, full_invariants=True)
+        r = O.run_measure_suite(5, 60)
         assert r.ok, r.failures[:3]
 
     def test_small_correctness_suite(self):
