@@ -89,7 +89,10 @@ def _fast(term: Term):
 
 
 def _unfast(term) -> Term:
+    """Keeps the sharing of `term`: a subterm that a body duplicates is
+    converted once, not once per occurrence."""
     done: list[Term] = []
+    made: dict[int, Term] = {}  # id of a converted node -> its conversion
     stack: list = [(term, False)]
     while stack:
         t, expanded = stack.pop()
@@ -97,9 +100,11 @@ def _unfast(term) -> Term:
             done.append(Var(t))
         elif expanded:
             cut = len(done) - len(t[1])
-            node = App(done[cut - 1], tuple(done[cut:]))
+            node = made[id(t)] = App(done[cut - 1], tuple(done[cut:]))
             del done[cut - 1:]
             done.append(node)
+        elif id(t) in made:
+            done.append(made[id(t)])
         else:
             stack.append((t, True))
             stack.extend((a, False) for a in reversed(t[1]))
@@ -173,15 +178,14 @@ def _plain_run(program: Program, strategy: Strategy, fuel: int,
     child 0 its head; the index on `built` where their rebuilt copies
     start). Tuples, unlike lists, drop out of the cyclic collector's scans
     once their contents do, so a deep zipper does not slow every
-    collection down. Outermost
-    tests a node on the way down; innermost once its children are done,
-    passing over the last redex's arguments, which are normal. Both test
-    a rebuilt node on the way up, whose head may have just reduced to a
-    defined name. `observe(name, path, whole term)` sees each redex found
-    before the fuel check; a value other than None ends the run with that
-    value."""
-    defs = {
-        name: (len(d.params), _compile_template(_fast(d.body), d.params))
+    collection down. Outermost tests a node on the way down, and a parent
+    again once its head is rewritten, since a new head may make the parent
+    a redex. Innermost tests a node once its children are done, passing
+    over the last redex's arguments, which are normal.
+    `observe(name, path, whole term)` sees each redex found before the fuel
+    check; a value other than None ends the run with that value."""
+    defs = {  # keyed by (name, arity), so a lookup is the whole redex test
+        (name, len(d.params)): _compile_template(_fast(d.body), d.params)
         for name, d in program.def_map.items()
     }
     get_def = defs.get
@@ -196,9 +200,7 @@ def _plain_run(program: Program, strategy: Strategy, fuel: int,
         if type(focus) is tuple:
             h = focus[0]
             if outermost and type(h) is str:
-                d = get_def(h)
-                if d is not None and d[0] != len(focus[1]):
-                    d = None
+                d = get_def((h, len(focus[1])))
             if d is None and (outermost or not any(a is focus for a in normal)):
                 stack.append(((h,) + focus[1], len(built)))
                 focus = h
@@ -216,11 +218,11 @@ def _plain_run(program: Program, strategy: Strategy, fuel: int,
                 h = built[start]
                 done = (h, tuple(built[start + 1:]))
                 del built[start:]
-                d = get_def(h) if type(h) is str else None
-                if d is not None and d[0] == len(done[1]):
-                    focus = done
-                    break
-                d = None
+                if not outermost and type(h) is str:
+                    d = get_def((h, len(done[1])))
+                    if d is not None:
+                        focus = done
+                        break
             else:
                 return FuelNormal(_unfast(done), steps)
             if d is None:
@@ -236,7 +238,10 @@ def _plain_run(program: Program, strategy: Strategy, fuel: int,
         steps += 1
         if not outermost:
             normal = focus[1]
-        focus = _instantiate(d[1], focus[1])
+        focus = _instantiate(d, focus[1])
+        if outermost and stack and stack[-1][1] == len(built):
+            # a rewritten head: the parent comes first in preorder
+            focus = (focus, stack.pop()[0][1:])
 
 
 def fuel_normalize(program: Program, strategy: Strategy = Strategy.LEFTMOST_OUTERMOST,
@@ -301,33 +306,30 @@ def naive_whole_term_monitor(program: Program,
                              max_steps: int = 1000) -> MonitorOutcome:
     """Blocks when the whole current term repeats an earlier one. Misses
     divergence that never repeats a term."""
-    table: dict[tuple, int] = {}  # (head number, argument numbers) -> number
-    numbers: dict[int, tuple] = {}  # id(node) -> (node, number); the node is kept alive
-    seen: set[int] = set()
+    seen: set[str] = set()
 
-    def number(term) -> int:
-        """Hash-consing: equal terms get one number, and each node object is
-        numbered once, so a step costs only its new nodes, never a walk of
-        the (shared) term as a tree, nor a recursive hash or `==`."""
+    def spelling(term) -> str:
+        """The term as a string, an argument after each comma, spelled on an
+        explicit stack: `hash` and `==` on deep nested tuples recurse."""
+        out: list[str] = []
         stack = [term]
         while stack:
             t = stack.pop()
-            kids = (t[0],) + t[1]
-            pending = [k for k in kids if type(k) is tuple and id(k) not in numbers]
-            if pending:
-                stack.append(t)
-                stack.extend(pending)
-                continue
-            key = tuple(k if type(k) is str else numbers[id(k)][1] for k in kids)
-            numbers[id(t)] = (t, table.setdefault(key, len(table)))
-        return numbers[id(term)][1]
+            if type(t) is str:
+                out.append(t)
+            else:
+                stack.append(")")
+                for a in reversed(t[1]):
+                    stack += (a, ",")
+                stack += ("(", t[0])
+        return "".join(out)
 
     def observe(name, path, term):
         # a normal form repeats no earlier term, so only terms with a redex are kept
-        n = number(term)
-        if n in seen:
+        key = spelling(term)
+        if key in seen:
             return MonitorBlocked(len(seen) + 1, "whole term repeated")
-        seen.add(n)
+        seen.add(key)
 
     return _monitor(program, strategy, max_steps, observe)
 

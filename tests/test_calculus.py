@@ -167,7 +167,10 @@ class TestErase:
     def test_reduced_successor_erases_to_one_plain_step(self):
         # the monitored steps are the plain steps: same path, name and term
         # before; the term after each is the next one's, or the normal form
-        programs = O.gen_programs(11, O.GenParams(count=40))
+        # seed 4 holds a program whose head rewrite makes its parent the
+        # outermost redex, ahead of an argument
+        programs = (O.gen_programs(11, O.GenParams(count=40))
+                    + O.gen_programs(4, O.GenParams(count=300, mode=HO)))
         for program, strategy in itertools.product(programs, (LO, LI)):
             log, afters = [], []
 
@@ -336,13 +339,25 @@ class TestMachineAgainstStep:
         for frozen in FROZEN_SETS + [frozenset({"int", "list", "done", "fortytwo"})]:
             assert machine(program, strategy, frozen) == step_loop(program, strategy, frozen)
 
-    @pytest.mark.parametrize("strategy", [LO, LI], ids=["outermost", "innermost"])
-    def test_rewritten_head_makes_the_parent_a_redex(self, strategy):
-        program = C.parse_program("let rec id(x) = x and g(y) = y in id(g)(k)", HO)
+    K = C.Normal(C.Var("k"), 2)
+    HEAD_FIRST = "let rec id(x) = x and g(y) = k and w() = w() in id(g)(w())"
+
+    @pytest.mark.parametrize("text, strategy, second, outcome", [
+        pytest.param("let rec id(x) = x and g(y) = y in id(g)(k)", LO, ((), "g"), K,
+                     id="outermost"),
+        pytest.param("let rec id(x) = x and g(y) = y in id(g)(k)", LI, ((), "g"), K,
+                     id="innermost"),
+        # outermost takes the new parent redex before the divergent argument
+        pytest.param(HEAD_FIRST, LO, ((), "g"), K, id="divergent-argument-outermost"),
+        pytest.param(HEAD_FIRST, LI, ((1,), "w"), C.Diverges(C.Blocked((1,), "w", ("w",)), 2),
+                     id="divergent-argument-innermost"),
+    ])
+    def test_rewritten_head_makes_the_parent_a_redex(self, text, strategy, second, outcome):
+        program = C.parse_program(text, HO)
         out, log = machine(program, strategy)
         assert (out, log) == step_loop(program, strategy)
-        assert out == C.Normal(C.Var("k"), 2)
-        assert [(path, name) for _, _, path, name in log] == [((0,), "id"), ((), "g")]
+        assert out == outcome
+        assert [(path, name) for _, _, path, name in log] == [((0,), "id"), second]
 
     @pytest.mark.parametrize("strategy", [LO, LI], ids=["outermost", "innermost"])
     def test_rewritten_head_becomes_opaque(self, strategy):

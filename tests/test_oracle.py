@@ -11,6 +11,15 @@ LO = C.Strategy.LEFTMOST_OUTERMOST
 LI = C.Strategy.LEFTMOST_INNERMOST
 
 
+def monitored_steps(program, strategy):
+    """The monitored run's steps as (path, name, erased term before)."""
+    log = []
+    C.normalize(program, strategy,
+                on_step=lambda before, after, info: log.append((info.path, info.name,
+                                                                C.erase(before))))
+    return log
+
+
 class TestFuelNormalize:
     def test_id_id_normalizes_in_two_steps(self):
         p = C.parse_program(F.ID_LAM)
@@ -57,6 +66,30 @@ class TestPlainSteps:
         p = C.parse_program(F.LOOP_LAM)
         assert [path for path, _, _ in O.plain_steps(p, LO, 3)] == [(), (), ()]
         assert O.plain_steps(p, LO, 0) == []
+
+    def test_a_duplicated_argument_stays_shared(self):
+        # converted once, not once per occurrence: a term doubled n times
+        # stays n nodes deep instead of becoming 2^n nodes
+        p = C.parse_program("let rec f(x) = g(x, x) and g(a, b) = q in f(c(k))")
+        (_, _, first), (_, _, second) = O.plain_steps(p, LO, 2)
+        assert second == C.App(C.Var("g"), (first.args[0], first.args[0]))
+        assert second.args[0] is second.args[1]
+
+    def test_rewritten_head_is_tested_before_the_arguments(self):
+        # under outermost, once id(g) is g the parent g(w()) is the redex,
+        # not the divergent argument
+        p = C.parse_program("let rec id(x) = x and g(y) = k and w() = w() in id(g)(w())",
+                            C.Mode.CLOSED_HIGHER_ORDER)
+        k = C.Var("k")
+        assert O.fuel_normalize(p, LO) == O.FuelNormal(k, 2)
+        assert O.naive_whole_term_monitor(p, LO) == O.MonitorNormal(k, 2)
+        assert O.head_function_monitor(p, LO) == O.MonitorNormal(k, 2)
+        assert O.plain_steps(p, LO, 5) == monitored_steps(p, LO)
+        assert [path for path, _, _ in O.plain_steps(p, LO, 5)] == [(0,), ()]
+        log = monitored_steps(p, LI)  # innermost runs w() and is blocked at its second step
+        assert [path for path, _, _ in log] == [(0,), (1,)]
+        assert O.plain_steps(p, LI, 2) == log
+        assert O.fuel_normalize(p, LI, 50) == O.OutOfFuel(50)
 
 
 class TestPlainMachineScale:
