@@ -10,6 +10,7 @@ their seed).
 """
 from __future__ import annotations
 
+import gc
 import random
 from dataclasses import dataclass, field
 from itertools import product
@@ -112,53 +113,60 @@ def _unfast(term) -> Term:
     return done[0]
 
 
-_K = "const"  # template opcodes
-_P = "param"
-_A = "app"
+def _compile_template(t, params: tuple[str, ...]) -> Callable[[tuple], object]:
+    """Compile a fast term into `f(args)`, which builds the term with
+    argument i in place of parameter i. A subterm without parameters is one
+    constant, shared between all instantiations. The code is straight-line,
+    one local per application that mentions a parameter, in postorder:
+    nested tuple displays would stop at the parser's limit of 200 nested
+    parentheses. Heads and constants reach the code through the tuple `K`,
+    so the source holds only indices and local names, never program text."""
+    index = {p: i for i, p in enumerate(params)}
+    consts: list = []
+    const_at: dict = {}  # a string, or the id of a tuple -> its index in consts
 
+    def const(x) -> str:
+        key = x if type(x) is str else id(x)
+        if key not in const_at:
+            const_at[key] = len(consts)
+            consts.append(x)
+        return f"k{const_at[key]}"
 
-def _compile_template(t, params: tuple[str, ...]) -> list[tuple]:
-    """Compile a fast term into postorder code for `_instantiate`:
-    `(_K, subterm)` pushes a subterm without parameters, shared between all
-    instantiations, `(_P, i)` pushes argument i, and `(_A, n)` pops a head
-    and n arguments and pushes their application."""
-    code: list[tuple] = []
-    const: list[bool] = []  # per finished subtree: its code is one _K op
+    body: list[str] = []
+    done: list = []  # per finished subtree: (True, the subterm) or (False, a local)
     stack: list = [(t, False)]
     while stack:
         t, expanded = stack.pop()
         if type(t) is str:
-            code.append((_P, params.index(t)) if t in params else (_K, t))
-            const.append(t not in params)
+            done.append((False, f"a{index[t]}") if t in index else (True, t))
         elif expanded:
             n = 1 + len(t[1])
-            folded = all(const[-n:])
-            del const[-n:]
-            if folded:
-                del code[-n:]
-            code.append((_K, t) if folded else (_A, n - 1))
-            const.append(folded)
+            kids = done[-n:]
+            del done[-n:]
+            if all(folded for folded, _ in kids):
+                done.append((True, t))
+                continue
+            head, *args = [const(x) if folded else x for folded, x in kids]
+            body.append(f"    v{len(body)} = ({head}, ({''.join(a + ', ' for a in args)}))")
+            done.append((False, f"v{len(body) - 1}"))
         else:
             stack.append((t, True))
             stack.extend((a, False) for a in reversed(t[1]))
             stack.append((t[0], False))
-    return code
-
-
-def _instantiate(code: list[tuple], args: tuple):
-    vals: list = []
-    push = vals.append
-    for op, x in code:
-        if op is _K:
-            push(x)
-        elif op is _P:
-            push(args[x])
-        else:
-            cut = len(vals) - x
-            node = (vals[cut - 1], tuple(vals[cut:]))
-            del vals[cut - 1:]
-            push(node)
-    return vals[0]
+    folded, result = done[0]
+    result = const(result) if folded else result
+    source = "\n".join([
+        "def make(K):",
+        f"  ({''.join(f'k{i}, ' for i in range(len(consts)))}) = K",
+        "  def f(args):",
+        f"    ({''.join(f'a{i}, ' for i in range(len(params)))}) = args",
+        *body,
+        f"    return {result}",
+        "  return f",
+    ])
+    scope: dict = {}
+    exec(compile(source, "<template>", "exec"), scope)
+    return scope.pop("make")(tuple(consts))
 
 
 def _whole(focus, stack: list, built: list):
@@ -181,9 +189,12 @@ def _plain_run(program: Program, strategy: Strategy, fuel: int,
     collection down. Outermost tests a node on the way down, and a parent
     again once its head is rewritten, since a new head may make the parent
     a redex. Innermost tests a node once its children are done, passing
-    over the last redex's arguments, which are normal.
-    `observe(name, path, whole term)` sees each redex found before the fuel
-    check; a value other than None ends the run with that value."""
+    over the last redex's arguments, which are normal. Each definition's
+    body is compiled once per run, by `_compile_template`, into a function
+    that builds the contractum from the redex's arguments, so a step runs
+    no interpreter of its own. `observe(name, path, whole term)` sees each
+    redex found before the fuel check; a value other than None ends the run
+    with that value."""
     defs = {  # keyed by (name, arity), so a lookup is the whole redex test
         (name, len(d.params)): _compile_template(_fast(d.body), d.params)
         for name, d in program.def_map.items()
@@ -238,7 +249,7 @@ def _plain_run(program: Program, strategy: Strategy, fuel: int,
         steps += 1
         if not outermost:
             normal = focus[1]
-        focus = _instantiate(d, focus[1])
+        focus = d(focus[1])
         if outermost and stack and stack[-1][1] == len(built):
             # a rewritten head: the parent comes first in preorder
             focus = (focus, stack.pop()[0][1:])
@@ -301,32 +312,57 @@ def _monitor(program: Program, strategy: Strategy, max_steps: int,
     return out
 
 
+def _spelling(term, spelled: dict[int, tuple]) -> tuple[str, dict[int, tuple]]:
+    """The term as a string, an argument after each comma, spelled on an
+    explicit stack: `hash` and `==` on deep nested tuples recurse.
+    `spelled` maps the id of each node of the previous term to (the node,
+    [the key it was spelled in], its span there); such a node is copied
+    from that key, so a step spells only the nodes it built. Returns the key
+    and the same map for this term's nodes, which keeps them alive, so that
+    no id is reused, and stays as large as one term."""
+    key = [""]  # this term's spelling, once joined
+    memo: dict[int, tuple] = {}
+    out: list[str] = []
+    size = 0
+    opened: list[tuple] = []  # (node, start) of the nodes being spelled
+    stack: list = [term]
+    while stack:
+        t = stack.pop()
+        if type(t) is str:
+            out.append(t)
+            size += len(t)
+        elif t is None:  # the last opened node ends
+            out.append(")")
+            size += 1
+            node, start = opened.pop()
+            memo[id(node)] = (node, key, start, size)
+        elif id(t) in spelled:
+            hit = memo[id(t)] = spelled[id(t)]
+            _, old, start, end = hit
+            out.append(old[0][start:end])
+            size += end - start
+        else:
+            opened.append((t, size))
+            stack.append(None)
+            for a in reversed(t[1]):
+                stack += (a, ",")
+            stack += ("(", t[0])
+    key[0] = "".join(out)
+    return key[0], memo
+
+
 def naive_whole_term_monitor(program: Program,
                              strategy: Strategy = Strategy.LEFTMOST_OUTERMOST,
                              max_steps: int = 1000) -> MonitorOutcome:
     """Blocks when the whole current term repeats an earlier one. Misses
     divergence that never repeats a term."""
     seen: set[str] = set()
-
-    def spelling(term) -> str:
-        """The term as a string, an argument after each comma, spelled on an
-        explicit stack: `hash` and `==` on deep nested tuples recurse."""
-        out: list[str] = []
-        stack = [term]
-        while stack:
-            t = stack.pop()
-            if type(t) is str:
-                out.append(t)
-            else:
-                stack.append(")")
-                for a in reversed(t[1]):
-                    stack += (a, ",")
-                stack += ("(", t[0])
-        return "".join(out)
+    spelled: dict[int, tuple] = {}
 
     def observe(name, path, term):
         # a normal form repeats no earlier term, so only terms with a redex are kept
-        key = spelling(term)
+        nonlocal spelled
+        key, spelled = _spelling(term, spelled)
         if key in seen:
             return MonitorBlocked(len(seen) + 1, "whole term repeated")
         seen.add(key)
@@ -740,24 +776,39 @@ def run_measure_suite(seed: int = 2024, count: int = 500,
 
 
 def _correctness_chunk(args: tuple) -> tuple[int, list[str]]:
+    """Normal forms are compared by their spellings, since dataclass `==`
+    recurses on a deep term; the higher-order spelling writes the
+    parentheses of every application, so equal spellings mean equal terms.
+    The plain runs build only acyclic tuples, so a cyclic collection frees
+    nothing they allocate, yet its scans of the growing term take over
+    half of their time: the collector is paused for the chunk and its
+    previous state restored, also when the chunk raises."""
     programs, offset, fuel = args
     checked = 0
     failures: list[str] = []
-    for pi, program in enumerate(programs, start=offset):
-        for strategy in (Strategy.LEFTMOST_OUTERMOST, Strategy.LEFTMOST_INNERMOST):
-            outcome = calculus.normalize(program, strategy)
-            checked += 1
-            if isinstance(outcome, calculus.Normal):
-                plain = fuel_normalize(program, strategy, fuel)
-                if not isinstance(plain, FuelNormal) or plain.term != outcome.term:
-                    failures.append(f"normal forms differ (program {pi}, {strategy.value})")
-            elif strategy is Strategy.LEFTMOST_OUTERMOST:
-                plain = fuel_normalize(program, strategy, fuel)
-                if not isinstance(plain, OutOfFuel):
-                    failures.append(
-                        f"diverges but plain reduction finished (program {pi}): "
-                        f"{calculus.render_program(program)!r}"
-                    )
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for pi, program in enumerate(programs, start=offset):
+            for strategy in (Strategy.LEFTMOST_OUTERMOST, Strategy.LEFTMOST_INNERMOST):
+                outcome = calculus.normalize(program, strategy)
+                checked += 1
+                if isinstance(outcome, calculus.Normal):
+                    plain = fuel_normalize(program, strategy, fuel)
+                    if not isinstance(plain, FuelNormal) or (
+                            calculus.render_term(plain.term, Mode.CLOSED_HIGHER_ORDER)
+                            != calculus.render_term(outcome.term, Mode.CLOSED_HIGHER_ORDER)):
+                        failures.append(f"normal forms differ (program {pi}, {strategy.value})")
+                elif strategy is Strategy.LEFTMOST_OUTERMOST:
+                    plain = fuel_normalize(program, strategy, fuel)
+                    if not isinstance(plain, OutOfFuel):
+                        failures.append(
+                            f"diverges but plain reduction finished (program {pi}): "
+                            f"{calculus.render_program(program)!r}"
+                        )
+    finally:
+        if was_enabled:
+            gc.enable()
     return checked, failures
 
 

@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 
 from shapecheck import calculus as C
@@ -107,6 +109,119 @@ class TestPlainMachineScale:
         assert C.render_term(out.term) == body.replace("x", "k")
 
 
+def compiled(text, name, mode=C.Mode.FIRST_ORDER):
+    d = C.parse_program(text, mode).def_map[name]
+    return O._compile_template(O._fast(d.body), d.params)
+
+
+class TestCompiledTemplates:
+    def test_a_parameter_used_twice_is_one_object(self):
+        f = compiled("let rec f(x) = g(x, x) and g(a, b) = q in f(k)", "f")
+        arg = ("c", ())
+        out = f((arg,))
+        assert out == ("g", (arg, arg))
+        assert out[1][0] is arg and out[1][1] is arg
+
+    def test_a_parameter_free_subterm_is_shared_between_instantiations(self):
+        f = compiled("let rec f(x) = g(x, h(k, m)) and g(a, b) = q in f(k)", "f")
+        first, second = f((("a", ()),)), f((("b", ()),))
+        assert first[1][1] == ("h", (("k", ()), ("m", ())))
+        assert first[1][1] is second[1][1]
+        assert first is not second
+        closed = compiled("let rec f() = h(k) in f()", "f")
+        assert closed(()) is closed(())
+
+    def test_a_parameter_at_the_head(self):
+        f = compiled("let rec ap(x, y) = x(y, x) in ap(k, k)", "ap", C.Mode.CLOSED_HIGHER_ORDER)
+        fun, arg = ("g", ()), ("c", ())
+        assert f((fun, arg)) == (fun, (arg, fun))
+        assert compiled("let rec i(x) = x in i(k)", "i")((arg,)) is arg
+
+    def test_the_generated_code_holds_no_program_text(self):
+        text = "let rec swap(x, y) = pair(y, cons(x, nil)) and pair(u, v) = u in swap(k, k)"
+        f = compiled(text, "swap")
+        code = f.__code__
+        names = set(code.co_varnames + code.co_names + code.co_freevars + code.co_cellvars)
+        assert names.isdisjoint({"swap", "pair", "cons", "nil", "x", "y", "u", "v", "k"})
+        assert not [c for c in code.co_consts if isinstance(c, str)]
+        # taken out of its exec namespace: no function <-> globals cycle
+        assert all(v is not f for v in f.__globals__.values())
+
+    def test_names_that_look_like_generated_locals(self):
+        p = C.parse_program("let rec f(args, make, a1) = g(a1, make, args, k0, v0) in f(x, y, z)")
+        assert C.render_term(O.fuel_normalize(p).term) == "g(z, y, x, k0, v0)"
+
+
+class TestCollectorPause:
+    def test_the_collector_is_back_on_after_the_suite(self):
+        assert gc.isenabled()
+        assert O.run_correctness_suite(5, 8).ok
+        assert gc.isenabled()
+
+    def test_the_collector_stays_off_when_the_caller_paused_it(self):
+        gc.disable()
+        try:
+            assert O.run_correctness_suite(5, 8).ok
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
+    def test_the_collector_is_restored_when_a_chunk_raises(self, monkeypatch):
+        seen = []
+
+        def boom(*args):
+            seen.append(gc.isenabled())
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(O, "fuel_normalize", boom)
+        with pytest.raises(RuntimeError):
+            O.run_correctness_suite(5, 8)
+        assert seen == [False]
+        assert gc.isenabled()
+
+    def test_deep_normal_forms_are_compared_without_recursion(self):
+        # expo-11 normalizes to c^2048(k), deeper than the recursion limit
+        n = 11
+        text = "\n".join(["let rec f0(x) = c(x)"]
+                         + [f"and f{i}(x) = f{i - 1}(f{i - 1}(x))" for i in range(1, n + 1)]
+                         + [f"in f{n}(k)"])
+        assert O._correctness_chunk(([C.parse_program(text)], 0, 100_000)) == (2, [])
+
+
+def plain_spelling(term):
+    """The whole-term key spelled without a memo: the reference."""
+    out, stack = [], [term]
+    while stack:
+        t = stack.pop()
+        if type(t) is str:
+            out.append(t)
+        else:
+            stack.append(")")
+            for a in reversed(t[1]):
+                stack += (a, ",")
+            stack += ("(", t[0])
+    return "".join(out)
+
+
+class TestSpelling:
+    def test_keys_equal_the_plain_spelling_across_steps(self):
+        a = ("c", (("k", ()), "x"))
+        b = ("h", (a,))  # spelled around a copied node, then copied itself
+        spelled = {}
+        for t in [("f", (a, a)), ("g", (b, a)), ("p", (b, ("q", (b,)))), ("f", (a, a)), a]:
+            key, spelled = O._spelling(t, spelled)
+            assert key == plain_spelling(t)
+
+    def test_a_deep_term_is_spelled_without_recursion(self):
+        n = 100_000
+        deep = "k"
+        for _ in range(n):
+            deep = ("c", (deep,))
+        key, spelled = O._spelling(deep, {})
+        assert key == "c(," * n + "k" + ")" * n
+        assert O._spelling(("g", (deep,)), spelled)[0] == "g(," + key + ")"
+
+
 class TestRejectedMonitors:
     def test_whole_term_monitor_misses_growing_loop(self):
         p = C.parse_program(F.LOOP_LAM)
@@ -131,6 +246,11 @@ class TestRejectedMonitors:
     def test_head_monitor_normalizes_redex_free_program(self):
         out = O.head_function_monitor(C.parse_program("c(int)"))
         assert isinstance(out, O.MonitorNormal) and out.steps == 0
+
+    @pytest.mark.parametrize("strategy", [LO, LI])
+    def test_whole_term_monitor_blocks_a_term_rebuilt_around_a_shared_argument(self, strategy):
+        p = C.parse_program("let rec f(x) = g(x) and g(x) = f(x) in f(c(k))")
+        assert O.naive_whole_term_monitor(p, strategy) == O.MonitorBlocked(3, "whole term repeated")
 
     W = "let rec w() = w() in w()"
     INT = C.App(C.Var("int"), ())
