@@ -4,14 +4,15 @@ Function-like macros only: identifiers, parentheses, commas and opaque
 literal tokens. Identifier and parenthesis tokens carry a hide set of
 macro names that are never re-expanded from that token; a macro call adds
 its own name, intersected between the hide sets of the name token and the
-closing parenthesis, to everything it produces. The module also provides a
-harness comparing expansion against monitored normalization of the same
-system encoded as a first-order program.
+closing parenthesis, to everything it produces. Expansion runs on an
+explicit stack and expands each actual at most once per call. The module
+also provides a harness comparing expansion against monitored
+normalization of the same system encoded as a first-order program.
 """
 from __future__ import annotations
 
 import re
-from collections import deque
+import weakref
 from dataclasses import dataclass, replace
 from typing import Iterable, Mapping
 
@@ -84,80 +85,172 @@ def hsadd(hide: frozenset[str], tokens: Iterable[Token]) -> TokenSeq:
     return tuple(out)
 
 
+# Inside the engine a token is a `(text, hide)` pair: `hide` is a frozenset for
+# identifiers and parentheses and None for commas and literals. Identifier
+# names are never punctuation, and every comma is the one `_COMMA` object.
+_COMMA = (",", None)
+_PUNCT = {LParen: "(", RParen: ")", Comma: ","}
+
+
+def _pair(t: Token) -> tuple:
+    cls = type(t)
+    if cls is Ident:
+        return t.name, t.hide
+    if cls is Other:
+        return t.text, None
+    return _COMMA if cls is Comma else (_PUNCT[cls], t.hide)
+
+
+def _token(p: tuple) -> Token:
+    text, hide = p
+    if hide is None:
+        return Comma() if p is _COMMA else Other(text)
+    if text == "(":
+        return LParen(hide)
+    return RParen(hide) if text == ")" else Ident(text, hide)
+
+
+def _body(body: Iterable[Token], formals: tuple[str, ...]) -> list:
+    """`body` as pairs, each formal occurrence replaced by the formal's index."""
+    return [formals.index(t.name) if type(t) is Ident and t.name in formals else _pair(t)
+            for t in body]
+
+
+class _Subst:
+    """A substitution in progress: `items` walks the body, `memo` holds each
+    expanded actual with the substitutions its expansion took."""
+    __slots__ = ("items", "actuals", "hide", "acc", "memo", "waiting", "start")
+
+    def __init__(self, body: list, actuals: list, hide: frozenset[str], acc: list):
+        self.items = iter(body)
+        self.actuals = actuals
+        self.hide = hide
+        self.acc = acc
+        self.memo: dict[int, tuple[list, int]] = {}
+
+
 class _Engine:
+    """Expansion on an explicit stack of scans and pending substitutions. A
+    scan is a `(work, out)` pair with `work` reversed, so its next token is
+    `work[-1]`; a substitution waits on the scan above it for an actual,
+    which it keeps for the formal's later uses."""
+
     def __init__(self, defs: Mapping[str, MacroDef], budget: int):
         self.defs = defs
         self.budget = budget
         self.substs = 0
+        self.bodies: dict[str, list] = {}
+        self.interned: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
-    def expand(self, tokens: Iterable[Token]) -> TokenSeq:
-        work: deque[Token] = deque(tokens)
-        out: list[Token] = []
-        while work:
-            tok = work.popleft()
-            if isinstance(tok, Ident) and tok.name in tok.hide:
+    def charge(self, n: int) -> None:
+        self.substs += n
+        if self.substs > self.budget:
+            raise ExpansionBudgetError(f"more than {self.budget} substitutions")
+
+    def intern(self, hide: frozenset[str]) -> frozenset[str]:
+        """The live set equal to `hide`, so that equal hide sets the engine
+        makes are one object. Weak entries keep no dead set alive."""
+        ref = self.interned.get(hide)
+        live = ref() if ref is not None else None
+        if live is None:
+            self.interned[hide] = weakref.ref(hide)
+            return hide
+        return live
+
+    def stamp(self, tokens: list, hide: frozenset[str]) -> list:
+        """`tokens` with `hide` added to every hide set. Each set object is
+        united once per call, and a union that changes nothing keeps the set."""
+        united: dict[int, frozenset[str]] = {}
+        out = []
+        last = last_united = None
+        for t in tokens:
+            h = t[1]
+            if h is not last:
+                last, last_united = h, united.get(id(h))
+                if last_united is None and h is not None:
+                    last_united = united[id(h)] = (
+                        hide if h <= hide else h if hide <= h else self.intern(h | hide))
+            out.append(t if last_united is h else (t[0], last_united))
+        return out
+
+    def run(self, stack: list) -> list:
+        defs = self.defs
+        while True:
+            frame = stack[-1]
+            if type(frame) is _Subst:
+                acc = frame.acc
+                for item in frame.items:
+                    if type(item) is not int:
+                        acc.append(item)
+                        continue
+                    memo = frame.memo.get(item)
+                    if memo is None:
+                        frame.waiting, frame.start = item, self.substs
+                        stack.append((frame.actuals[item][::-1], []))
+                        break
+                    # charged as if expanded again, so the budget fires where it would
+                    self.charge(memo[1])
+                    acc += memo[0]
+                else:
+                    stack.pop()
+                    result = self.stamp(acc, frame.hide)
+                    if not stack:
+                        return result
+                    stack[-1][0].extend(reversed(result))
+                continue
+            work, out = frame
+            while work:
+                tok = work.pop()
+                name, hide = tok
+                if (name in defs and hide is not None and name not in hide
+                        and work and work[-1][0] == "(" and work[-1][1] is not None):
+                    actuals, rhide = _split_actuals(work, name)
+                    d = defs[name]
+                    if len(actuals) != len(d.formals):
+                        raise MalformedCallError(
+                            f"macro {name!r} expects {len(d.formals)} argument(s), "
+                            f"got {len(actuals)}"
+                        )
+                    self.charge(1)
+                    body = self.bodies.get(name)
+                    if body is None:
+                        body = self.bodies[name] = _body(d.body, d.formals)
+                    # `name` is not in `hide`, so the union always adds it
+                    called = self.intern((hide if hide is rhide else hide & rhide) | {name})
+                    stack.append(_Subst(body, actuals, called, []))
+                    break
                 out.append(tok)
-                continue
-            if (
-                isinstance(tok, Ident)
-                and tok.name in self.defs
-                and work
-                and isinstance(work[0], LParen)
-            ):
-                actuals, rparen = _split_actuals(work, tok.name)
-                d = self.defs[tok.name]
-                if len(actuals) != len(d.formals):
-                    raise MalformedCallError(
-                        f"macro {tok.name!r} expects {len(d.formals)} argument(s), "
-                        f"got {len(actuals)}"
-                    )
-                hide = (tok.hide & rparen.hide) | {tok.name}
-                self.substs += 1
-                if self.substs > self.budget:
-                    raise ExpansionBudgetError(f"more than {self.budget} substitutions")
-                result = self.subst(d.body, d.formals, actuals, hide, ())
-                work.extendleft(reversed(result))
-                continue
-            out.append(tok)
-        return tuple(out)
-
-    def subst(
-        self,
-        body: Iterable[Token],
-        formals: tuple[str, ...],
-        actuals: list[TokenSeq],
-        hide: frozenset[str],
-        out: TokenSeq,
-    ) -> TokenSeq:
-        acc = list(out)
-        for tok in body:
-            if isinstance(tok, Ident) and tok.name in formals:
-                acc.extend(self.expand(actuals[formals.index(tok.name)]))
             else:
-                acc.append(tok)
-        return hsadd(hide, acc)
+                stack.pop()
+                if not stack:
+                    return out
+                waiting = stack[-1]
+                waiting.memo[waiting.waiting] = (out, self.substs - waiting.start)
+                waiting.acc += out
 
 
-def _split_actuals(work: deque, name: str) -> tuple[list[TokenSeq], RParen]:
-    """Consume `( actual , ... )` from the front of `work`, splitting at
-    top-level commas only."""
-    work.popleft()  # the opening parenthesis
+def _split_actuals(work: list, name: str) -> tuple[list[list], frozenset[str]]:
+    """Consume `( actual , ... )` from the end of the reversed `work`,
+    splitting at top-level commas only; return the actuals and the hide set
+    of the closing parenthesis."""
     depth = 1
-    actuals: list[list[Token]] = [[]]
-    while work:
-        t = work.popleft()
-        if isinstance(t, LParen):
+    actuals: list[list] = []
+    start = len(work) - 1  # the opening parenthesis
+    for i in range(start - 1, -1, -1):
+        t = work[i]
+        text = t[0]
+        if text == "(" and t[1] is not None:
             depth += 1
-        elif isinstance(t, RParen):
+        elif text == ")" and t[1] is not None:
             depth -= 1
             if depth == 0:
-                if actuals == [[]]:
-                    return [], t
-                return [tuple(a) for a in actuals], t
-        elif isinstance(t, Comma) and depth == 1:
-            actuals.append([])
-            continue
-        actuals[-1].append(t)
+                if actuals or i + 1 < start:
+                    actuals.append(work[start - 1:i:-1])
+                del work[i:]
+                return actuals, t[1]
+        elif t is _COMMA and depth == 1:
+            actuals.append(work[start - 1:i:-1])
+            start = i
     raise MalformedCallError(f"unbalanced parentheses in call of {name!r}")
 
 
@@ -165,8 +258,12 @@ def expand(tokens: Iterable[Token], defs: Mapping[str, MacroDef],
            budget: int = 1_000_000) -> TokenSeq:
     """Fully expand a token sequence. Hidden names pass through; a macro
     name directly followed by `(` is substituted and the result rescanned
-    together with the remaining input."""
-    return _Engine(defs, budget).expand(tokens)
+    together with the remaining input. Each actual is expanded at most once
+    per call; `budget` bounds the substitutions that repeated expansion of
+    the actuals would have performed."""
+    work = [_pair(t) for t in tokens]
+    work.reverse()
+    return tuple(map(_token, _Engine(defs, budget).run([(work, [])])))
 
 
 def subst(body: Iterable[Token], formals: tuple[str, ...], actuals: list[TokenSeq],
@@ -175,7 +272,9 @@ def subst(body: Iterable[Token], formals: tuple[str, ...], actuals: list[TokenSe
           budget: int = 1_000_000) -> TokenSeq:
     """Replace formals in `body` by the expansion of the matching actuals,
     then add `hide` to the whole output."""
-    return _Engine(defs or {}, budget).subst(tuple(body), formals, actuals, hide, out)
+    pending = _Subst(_body(body, formals), [[_pair(t) for t in a] for a in actuals],
+                     hide, [_pair(t) for t in out])
+    return tuple(map(_token, _Engine(defs or {}, budget).run([pending])))
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +368,6 @@ def parse_macro_file(text: str) -> tuple[dict[str, MacroDef], TokenSeq]:
     return defs, call
 
 
-_PUNCT = {LParen: "(", RParen: ")", Comma: ","}
 _PUNCT_TOKS = {cls: Tok("punct", text, 1, 1) for cls, text in _PUNCT.items()}
 
 
@@ -290,8 +388,9 @@ def render_tokens(tokens: Iterable[Token], show_hide_sets: bool = False) -> str:
 def first_order_violation(defs: Mapping[str, MacroDef], call: TokenSeq) -> str | None:
     """A diagnosis if some macro name occurs outside call position (or is
     shadowed by a formal), None when the system is first-order."""
+    names = set(defs)
     for d in defs.values():
-        clash = set(d.formals) & set(defs)
+        clash = names.intersection(d.formals)
         if clash:
             return f"formal {sorted(clash)[0]!r} of {d.name!r} shadows a macro"
     def scan(tokens: TokenSeq, where: str) -> str | None:

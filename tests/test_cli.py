@@ -173,6 +173,11 @@ class TestCpp:
         code, out = run(capsys, ["cpp", "--show-hidesets", path])
         assert out == "f^{f,id} (^{f,id} stop^{f,id} , stop^{f,id} )^{f,id}\n"
 
+    def test_deep_call_expands(self, tmp_path, capsys):
+        n = 1500
+        path = write(tmp_path, "deep.cpp", "#define f(x) x\n" + "f(" * n + "z" + ")" * n)
+        assert run(capsys, ["cpp", path]) == (0, "z\n")
+
 
 class TestCompareCpp:
     def test_agreement_text(self, tmp_path, capsys):
@@ -197,6 +202,13 @@ class TestCompareCpp:
         defs = ["#define f0(x) c(x)"] + [f"#define f{i}(x) f{i - 1}(f{i - 1}(x))"
                                          for i in range(1, 9)]
         path = write(tmp_path, "expo8.cpp", "\n".join(defs) + "\nf8(k)\n")
+        code, out = run(capsys, ["compare-cpp", path])
+        assert code == 0
+        assert out.startswith("agreement: yes (normalized)\n")
+
+    def test_deep_call_agrees(self, tmp_path, capsys):
+        n = 1500
+        path = write(tmp_path, "deep.cpp", "#define f(x) x\n" + "f(" * n + "z" + ")" * n)
         code, out = run(capsys, ["compare-cpp", path])
         assert code == 0
         assert out.startswith("agreement: yes (normalized)\n")

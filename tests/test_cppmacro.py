@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from shapecheck import calculus as C
@@ -95,6 +97,28 @@ class TestExpand:
     def test_expansion_terminates_within_budget_on_generated_systems(self):
         for defs, call in O.gen_macros(99, O.GenParams(count=60)):
             P.expand(call, defs, budget=100_000)
+
+    def test_budget_counts_every_use_of_an_actual(self):
+        # `two` uses its actual twice, so `id(id(a))` counts its two
+        # substitutions twice even though it is expanded once: 1 + 2 + 2
+        defs, call = P.parse_macro_file(
+            "#define id(x) x\n#define two(x) p(x, x)\ntwo(id(id(a)))\n")
+        assert P.render_tokens(P.expand(call, defs, budget=5), show_hide_sets=True) == (
+            "p^{two} (^{two} a^{id,two} , a^{id,two} )^{two}"
+        )
+        with pytest.raises(P.ExpansionBudgetError, match="^more than 4 substitutions$"):
+            P.expand(call, defs, budget=4)
+
+    @pytest.mark.parametrize("seed, params, digest", [
+        (4242, O.GenParams(count=500, max_arity=2), "930bf48b557b164ea35e4d3049aa9698329426bc"),
+        (7, O.GenParams(count=60, max_arity=3), "f7942aaabb4ee55a4046f6dd13941326fe2d2f76"),
+    ], ids=["seed4242", "seed7"])
+    def test_output_with_hide_sets_is_pinned(self, seed, params, digest):
+        # the SHA-1 of every system's rendering, one line each, in order
+        h = hashlib.sha1()
+        for defs, call in O.gen_macros(seed, params):
+            h.update(P.render_tokens(P.expand(call, defs), show_hide_sets=True).encode() + b"\n")
+        assert h.hexdigest() == digest
 
 
 class TestParseMacroFile:
