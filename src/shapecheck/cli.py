@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -175,7 +176,11 @@ def _cmd_selftest(args) -> int:
     return 0 if ok else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and then kept: building
+    it costs more than checking a small file. Each subcommand runs the
+    `_cmd_<name>` function found when it is called."""
     parser = argparse.ArgumentParser(
         prog="shapecheck",
         description="Check [@unboxed] constructor annotations by head-shape "
@@ -192,7 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("files", nargs="+")
     p.add_argument("--json", action="store_true")
     p.add_argument("--prims", metavar="FILE", help="override the primitive shape table")
-    p.set_defaults(fn=_cmd_check)
 
     p = sub.add_parser("norm", help="normalize a .lam program with divergence monitoring")
     p.add_argument("files", nargs="+")
@@ -205,32 +209,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-steps", type=int, default=None,
                    help="defensive step bound (default: unlimited)")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=_cmd_norm)
 
     p = sub.add_parser("cpp", help="expand a restricted macro file")
     p.add_argument("files", nargs="+")
     p.add_argument("--show-hidesets", action="store_true")
-    p.set_defaults(fn=_cmd_cpp)
 
     p = sub.add_parser("compare-cpp", help="compare macro expansion against normalization")
     p.add_argument("files", nargs="+")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=_cmd_compare_cpp)
 
     p = sub.add_parser("selftest", help="run the oracle cross-checking suites")
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--cases", type=int, default=200)
     p.add_argument("--fuel", type=int, default=100_000)
-    p.set_defaults(fn=_cmd_selftest)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        return globals()["_cmd_" + args.command.replace("-", "_")](args)
     except (syntax.SourceError, cppmacro.MacroError, ValueError, OSError) as e:
         print(f"shapecheck: error: {e}", file=sys.stderr)
         return 2

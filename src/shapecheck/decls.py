@@ -10,7 +10,9 @@ its argument during matching.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import reduce
+from itertools import chain
 from typing import Mapping, Sequence
 
 from . import calculus, syntax
@@ -26,6 +28,7 @@ from .shapes import (
     PrimComponent,
     PrimTable,
     ShapeContext,
+    UnknownPrimitiveError,
     VarComponent,
     component_shape,
     default_prim_table,
@@ -431,98 +434,336 @@ def _subst_type(ty: TypeExpr, sub: Mapping[str, TypeExpr]) -> TypeExpr:
 # A closure is a type expression as written in some body, the closures bound
 # to that body's parameters, and the trace of the unfoldings that wrote it:
 # `(type, bindings, trace)`. A bound parameter stands for its argument's own
-# closure, trace included.
+# closure, trace included. Traces and `via` paths are shared linked nodes,
+# never copied per level:
+# - a trace node is `(parent, name, depth)`, None being the empty trace;
+# - a `where` node is `(parent, path)`, `path` being a linked list
+#   `(label, rest)` of `via` labels in root-first order; None is the empty
+#   `via`.
 
 
 def _plain(ty: TypeExpr, bind: Mapping) -> TypeExpr:
-    """The plain type expression a closure denotes."""
-    while isinstance(ty, TVar) and ty.name in bind:
-        ty, bind, _trace = bind[ty.name]
-    if isinstance(ty, TVar):
-        return ty
-    return type(ty)(ty.name, tuple(_plain(a, bind) for a in ty.args))
-
-
-def _unfold(ty: TypeExpr, env: Mapping[str, Decl]) -> SumNF | Cycle:
-    """Monitored unfolding, depth first, on an explicit stack of closures
-    (with the `via` path that reached them) and finished components."""
-    out: list[Component] = []
-    stack: list = [(ty, {}, (), ())]
+    """The plain type expression a closure denotes, built on an explicit
+    stack: lazy-like arguments may nest hundreds of levels deep."""
+    out: list = []
+    stack: list = [(ty, bind)]
     while stack:
-        item = stack.pop()
-        if not isinstance(item, tuple):
-            out.append(item)
+        ty, bind = stack.pop()
+        if bind is None:  # (class, name, arity) of a node whose arguments are done
+            cls, name, arity = ty
+            args = tuple(out[-arity:])
+            del out[-arity:]
+            out.append(cls(name, args))
             continue
-        ty, bind, trace, via = item
         while isinstance(ty, TVar) and ty.name in bind:
-            ty, bind, trace = bind[ty.name]
-        if isinstance(ty, TVar):
-            out.append(VarComponent(ty.name, via))
+            ty, bind, _trace = bind[ty.name]
+        if isinstance(ty, TVar) or not ty.args:
+            out.append(ty)
             continue
-        if isinstance(ty, PrimApp):
-            out.append(PrimComponent(ty.name, tuple(_plain(a, bind) for a in ty.args), via))
-            continue
-        decl = env[ty.name]
-        if isinstance(decl.body, AbstractBody):
-            args = tuple(_plain(a, bind) for a in ty.args)
-            out.append(OpaqueComponent(ty.name, args, decl.body.shape, via))
-            continue
-        if ty.name in trace:
-            return Cycle(ty.name, trace)
-        sub = {p: (a, bind, trace) for p, a in zip(decl.params, ty.args)}
-        deeper = trace + (ty.name,)
-        if isinstance(decl.body, AbbrevBody):
-            stack.append((decl.body.body, sub, deeper, via + (ty.name,)))
-            continue
-        for c in reversed(decl.body.ctors):
-            if c.unboxed:
-                stack.append((c.arg_types[0], sub, deeper, via + (c.name,)))
+        stack.append(((type(ty), ty.name, len(ty.args)), None))
+        stack.extend((a, bind) for a in reversed(ty.args))
+    return out[0]
+
+
+def _spelling(ty: TypeExpr) -> str:
+    """A text that identifies a type expression, built on an explicit stack:
+    the dataclass hash and equality recurse once per nesting level."""
+    out: list[str] = []
+    stack: list = [ty]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, str):
+            out.append(t)
+        elif isinstance(t, TVar):
+            out.append("'" + t.name)
+        else:
+            out.append(("#" if isinstance(t, PrimApp) else "") + t.name + "(")
+            stack.append(")")
+            for a in reversed(t.args):  # each argument is followed by a comma
+                stack.append(",")
+                stack.append(a)
+    return "".join(out)
+
+
+def _trace_names(node) -> tuple[str, ...]:
+    names = []
+    while node is not None:
+        names.append(node[1])
+        node = node[0]
+    return tuple(reversed(names))
+
+
+def _retrace(active: set, cur, node) -> None:
+    """Move `active` from the names on trace `cur` to those on `node`."""
+    enter = []
+    while cur is not node:
+        if node is None or (cur is not None and cur[2] >= node[2]):
+            active.discard(cur[1])
+            cur = cur[0]
+        else:
+            enter.append(node[1])
+            node = node[0]
+    active.update(enter)
+
+
+def _via(where) -> tuple[str, ...]:
+    paths = []
+    while where is not None:
+        paths.append(where[1])
+        where = where[0]
+    out = []
+    for path in reversed(paths):
+        while path is not None:
+            out.append(path[0])
+            path = path[1]
+    return tuple(out)
+
+
+def _first(where) -> str | None:
+    """The first label of a `via`."""
+    if where is None:
+        return None
+    while where[0] is not None:
+        where = where[0]
+    return where[1][0]
+
+
+def _path(where, base, tail):
+    """The labels from `base` down to `where`, in front of `tail`. Both are
+    nodes of the unfolding itself, which adds one label per node."""
+    while where is not base:
+        tail = (where[1][0], tail)
+        where = where[0]
+    return tail
+
+
+class _Entry:
+    """The unfolding of a parameterless declaration, met at `base`: `items`
+    lists `(path, component or _Entry)` in order, `path` leading from `base`
+    to the item. An entry without items (None) only tells that the
+    unfolding is cycle-free.
+
+    A finished entry holds under any trace that does not hold its
+    declaration. Each name on a trace wrote the next one into its body,
+    where it is unfolded whatever the arguments, and the last wrote the
+    declaration. Had the declaration's own unfolding met such a name, it
+    would have gone on to meet the declaration again: a cycle of its own,
+    and the entry would not have finished."""
+
+    __slots__ = ("name", "base", "items")
+
+    def __init__(self, name: str, base, items: list | None):
+        self.name = name
+        self.base = base
+        self.items = items
+
+
+def _record(entry: _Entry, where, sub: _Entry) -> None:
+    """Append a finished entry met at `where`. An entry of at most one item
+    is spliced in, so a chain of abbreviations is one item whose path shares
+    its tail with the next link's."""
+    if len(sub.items) < 2:
+        entry.items.extend((_path(where, entry.base, path), x) for path, x in sub.items)
+    else:
+        entry.items.append((_path(where, entry.base, None), sub))
+
+
+class _Unfolding:
+    """The monitored unfolding of one type, depth first on an explicit stack,
+    iterated as `(component, where)` pairs with each component's `via` left
+    in `where`. On a cycle the iteration ends and `cycle` holds it.
+
+    Parameterless declarations are looked up in `memo`, shared by every
+    unfolding over the same declarations. After `finish()` the rest of the
+    unfolding runs in a cycle-only mode that builds no components and skips
+    every memo entry: a finished entry is cycle-free by construction."""
+
+    __slots__ = ("env", "memo", "building", "cycle", "_open", "_gen", "_rest")
+
+    def __init__(self, ty: TypeExpr, env: Mapping[str, Decl], memo: dict[str, _Entry]):
+        self.env = env
+        self.memo = memo
+        self.building = True
+        self.cycle: Cycle | None = None
+        self._open: list[_Entry] = []
+        self._gen = self._run(ty)
+        self._rest: list = []
+
+    def __iter__(self):
+        return chain(self._gen, self._rest)
+
+    def settle(self) -> Cycle | None:
+        """Unfold the rest now, keeping its components for the iteration."""
+        self._rest.extend(self._gen)
+        return self.cycle
+
+    def finish(self) -> Cycle | None:
+        """Unfold the rest for cycles only."""
+        self.building = False
+        for entry in self._open:
+            entry.items = None
+        for _ in self._gen:
+            pass
+        return self.cycle
+
+    def _walk(self, entry: _Entry, where):
+        stack: list = [(entry, where)]
+        while stack:
+            item, where = stack.pop()
+            if item.__class__ is not _Entry:
+                yield item, where
+                if not self.building:
+                    return
+                continue
+            for path, x in reversed(item.items):
+                stack.append((x, where if path is None else (where, path)))
+
+    def _run(self, ty: TypeExpr):
+        env, memo, open_ = self.env, self.memo, self._open
+        building = True  # `finish` turns it off while this waits at a yield
+        active: set[str] = set()  # the names on trace `cur`
+        cur = None
+        stack: list = [(ty, {}, None, None)]
+        while stack:
+            item = stack.pop()
+            if item.__class__ is _Entry:  # its declaration is unfolded
+                open_.pop()
+                if item.items is None:
+                    memo.setdefault(item.name, item)
+                    continue
+                memo[item.name] = item
+                if open_:
+                    _record(open_[-1], item.base, item)
+                continue
+            if len(item) == 2:  # a boxed constructor
+                comp, where = item
             else:
-                fields = tuple(_plain(f, sub) for f in c.arg_types)
-                stack.append(CtorComponent(c.name, fields, ty.name, c.constant, c.index, via))
-    return SumNF(tuple(out))
+                ty, bind, trace, where = item
+                while isinstance(ty, TVar) and ty.name in bind:
+                    ty, bind, trace = bind[ty.name]
+                decl = env[ty.name] if isinstance(ty, TyApp) else None
+                if decl is None or isinstance(decl.body, AbstractBody):
+                    if not building:
+                        continue
+                    if isinstance(ty, TVar):
+                        comp = VarComponent(ty.name)
+                    else:
+                        args = tuple(_plain(a, bind) for a in ty.args)
+                        comp = (PrimComponent(ty.name, args) if decl is None
+                                else OpaqueComponent(ty.name, args, decl.body.shape))
+                else:
+                    name = ty.name
+                    if trace is not cur:
+                        _retrace(active, cur, trace)
+                        cur = trace
+                    if name in active:
+                        self.cycle = Cycle(name, _trace_names(trace))
+                        return
+                    if not decl.params:
+                        entry = memo.get(name)
+                        if entry is not None and (entry.items is not None or not building):
+                            if building:
+                                if open_:
+                                    _record(open_[-1], where, entry)
+                                yield from self._walk(entry, where)
+                                building = self.building
+                            continue
+                        entry = _Entry(name, where, [] if building else None)
+                        open_.append(entry)
+                        stack.append(entry)
+                    cur = (trace, name, trace[2] + 1 if trace else 1)
+                    active.add(name)
+                    sub = {p: (a, bind, trace) for p, a in zip(decl.params, ty.args)}
+                    if isinstance(decl.body, AbbrevBody):
+                        stack.append((decl.body.body, sub, cur, (where, (name, None))))
+                        continue
+                    for c in reversed(decl.body.ctors):
+                        if c.unboxed:
+                            stack.append((c.arg_types[0], sub, cur, (where, (c.name, None))))
+                        elif building:
+                            fields = tuple(_plain(f, sub) for f in c.arg_types)
+                            stack.append((CtorComponent(c.name, fields, name, c.constant, c.index),
+                                          where))
+                    continue
+            if building:
+                if open_:
+                    entry = open_[-1]
+                    entry.items.append((None if where is entry.base else
+                                        _path(where, entry.base, None), comp))
+                yield comp, where
+                building = self.building
 
 
 def normalize_type(ty: TypeExpr, decls: Sequence[Decl], prims: PrimTable | None = None) -> SumNF | Cycle:
     """Unfold a type into its sum normal form, or report the blocking cycle."""
-    return _unfold(ty, {d.name: d for d in decls})
+    unfolding = _Unfolding(ty, {d.name: d for d in decls}, {})
+    components = tuple(c if where is None else replace(c, via=_via(where))
+                       for c, where in unfolding)
+    return unfolding.cycle or SumNF(components)
+
+
+def _disjoint_union(pairs, ctx: ShapeContext, by_first: dict | None = None) -> HeadShape | ConflictWitness | Cycle:
+    """Disjointly union the shapes of `(component, where)` pairs, stopping at
+    the first conflict. With `by_first`, also collect the shapes per first
+    `via` label."""
+    done: list = []
+    acc = EMPTY_SHAPE
+    for comp, where in pairs:
+        s = component_shape(comp, ctx)
+        if not isinstance(s, HeadShape):
+            return s
+        for prev, prev_where, prev_s in done:
+            w = shape_disjoint_union(prev_s, s)
+            if isinstance(w, ConflictWitness):
+                return ConflictWitness(
+                    w.side, w.value,
+                    describe_component(prev, _via(prev_where) + prev.via),
+                    describe_component(comp, _via(where) + comp.via))
+        done.append((comp, where, s))
+        acc = shape_union(acc, s)
+        if by_first is not None:
+            by_first.setdefault(_first(where), []).append(s)
+    return acc
 
 
 def shape_of_snf(snf: SumNF, ctx: ShapeContext) -> HeadShape | ConflictWitness | Cycle:
     """Disjointly union the component shapes; a conflict is a value, and so
     is a conflict or cycle met in a lazy-like argument."""
-    done: list[tuple[Component, HeadShape]] = []
-    acc = EMPTY_SHAPE
-    for comp in snf.components:
-        s = component_shape(comp, ctx)
-        if not isinstance(s, HeadShape):
-            return s
-        for prev, prev_s in done:
-            w = shape_disjoint_union(prev_s, s, describe_component(prev), describe_component(comp))
-            if isinstance(w, ConflictWitness):
-                return w
-        done.append((comp, s))
-        acc = shape_union(acc, s)
-    return acc
+    return _disjoint_union(((c, None) for c in snf.components), ctx)
 
 
-def _shape(ty: TypeExpr, env: Mapping[str, Decl], prims: PrimTable,
+def _union_of(ty: TypeExpr, env: Mapping[str, Decl], memo: dict, prims: PrimTable,
+              seen: frozenset, by_first: dict | None = None) -> HeadShape | ConflictWitness | Cycle:
+    """`shape_of_snf` over the unfolding of `ty` as it streams. A cycle
+    anywhere in the unfolding takes precedence over a conflict and over what
+    a lazy-like argument gives, so the unfolding is finished for cycles
+    after the union stops, and before any lazy-like argument is resolved."""
+    unfolding = _Unfolding(ty, env, memo)
+    ctx = ShapeContext(prims, lambda t: unfolding.settle() or _shape(t, env, memo, prims, seen))
+    try:
+        result = _disjoint_union(unfolding, ctx, by_first)
+    except UnknownPrimitiveError:  # a table without a primitive of the declarations
+        if unfolding.finish() is None:
+            raise
+        return unfolding.cycle
+    return unfolding.finish() or result
+
+
+def _shape(ty: TypeExpr, env: Mapping[str, Decl], memo: dict, prims: PrimTable,
            seen: frozenset) -> HeadShape | ConflictWitness | Cycle:
-    if ty in seen:
+    key = _spelling(ty)
+    if key in seen:
         return TOP_SHAPE  # shape-level recursion through a lazy-like argument
     if len(seen) >= _LAZY_NESTING_LIMIT:
         raise LazyNestingError(
             f"lazy-like arguments nest more than {_LAZY_NESTING_LIMIT} levels deep")
-    snf = _unfold(ty, env)
-    if isinstance(snf, Cycle):
-        return snf
-    return shape_of_snf(snf, ShapeContext(prims, lambda t: _shape(t, env, prims, seen | {ty})))
+    return _union_of(ty, env, memo, prims, seen | {key})
 
 
 def shape_of_type(ty: TypeExpr, decls: Sequence[Decl], prims: PrimTable | None = None) -> HeadShape | ConflictWitness | Cycle:
     if prims is None:
         prims = default_prim_table()
-    return _shape(ty, {d.name: d for d in decls}, prims, frozenset())
+    return _shape(ty, {d.name: d for d in decls}, {}, prims, frozenset())
 
 
 # ---------------------------------------------------------------------------
@@ -558,36 +799,30 @@ def self_application(decl: Decl) -> TyApp:
 
 
 def check_decls(decls: Sequence[Decl], prims: PrimTable | None = None) -> list[CheckReport]:
-    """One verdict per declaration, in file order."""
+    """One verdict per declaration, in file order. The unfolding of each
+    parameterless declaration is shared by all of them."""
     if prims is None:
         prims = default_prim_table()
     env = {d.name: d for d in decls}
-    reports: list[CheckReport] = []
-    for d in decls:
-        reports.append(_check_one(d, env, prims))
-    return reports
+    memo: dict[str, _Entry] = {}
+    return [_check_one(d, env, memo, prims) for d in decls]
 
 
-def _check_one(d: Decl, env: Mapping[str, Decl], prims: PrimTable) -> CheckReport:
+def _check_one(d: Decl, env: Mapping[str, Decl], memo: dict, prims: PrimTable) -> CheckReport:
     if isinstance(d.body, AbstractBody):
         return Accepted(d.name, d.body.shape, ())
-    snf = _unfold(self_application(d), env)
-    ctx = ShapeContext(prims, lambda t: _shape(t, env, prims, frozenset()))
-    sw = snf if isinstance(snf, Cycle) else shape_of_snf(snf, ctx)
+    # An unboxed constructor's argument unfolds on its own to the components
+    # whose `via` starts with that constructor: its own unfolding carries a
+    # subset of their traces, so it blocks nowhere they did not.
+    unboxed = [c.name for c in d.body.ctors if c.unboxed] if isinstance(d.body, VariantBody) else []
+    by_first: dict | None = {} if unboxed else None
+    sw = _union_of(self_application(d), env, memo, prims, frozenset(), by_first)
     if isinstance(sw, Cycle):
         return RejectedCycle(d.name, sw.name, sw.trace, sw.path)
     if isinstance(sw, ConflictWitness):
         return RejectedConflict(d.name, sw)
-    # An unboxed constructor's argument unfolds on its own to the components
-    # whose `via` starts with that constructor: its own unfolding carries a
-    # subset of their traces, so it blocks nowhere they did not.
-    recorded: list[tuple[str, HeadShape]] = []
-    if isinstance(d.body, VariantBody):
-        for c in d.body.ctors:
-            if c.unboxed:
-                part = SumNF(tuple(x for x in snf.components if x.via[:1] == (c.name,)))
-                recorded.append((c.name, shape_of_snf(part, ctx)))
-    return Accepted(d.name, sw, tuple(recorded))
+    return Accepted(d.name, sw, tuple(
+        (c, reduce(shape_union, by_first.get(c, ()), EMPTY_SHAPE)) for c in unboxed))
 
 
 def match_plan(decl: Decl, ctor_name: str, report: CheckReport) -> HeadShape:

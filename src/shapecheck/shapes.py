@@ -295,7 +295,11 @@ class OpaqueComponent:
 Component = VarComponent | CtorComponent | PrimComponent | OpaqueComponent
 
 
-def describe_component(comp: Component) -> str:
+def describe_component(comp: Component, via: tuple[str, ...] | None = None) -> str:
+    """The component as a conflict witness names it; `via`, when given,
+    stands for the component's own."""
+    if via is None:
+        via = comp.via
     if isinstance(comp, VarComponent):
         base = f"type parameter '{comp.name}"
     elif isinstance(comp, CtorComponent):
@@ -304,8 +308,8 @@ def describe_component(comp: Component) -> str:
         base = f"primitive {comp.prim}"
     else:
         base = f"abstract type {comp.name}"
-    if comp.via:
-        return f"{base} (via {' -> '.join(comp.via)})"
+    if via:
+        return f"{base} (via {' -> '.join(via)})"
     return base
 
 

@@ -68,6 +68,22 @@ class TestCheck:
         assert cli.main(["check", path]) == 2
         assert "lazy-like arguments nest more than 100 levels" in capsys.readouterr().err
 
+    def test_deeply_growing_lazy_like_argument_is_an_input_error(self, tmp_path, capsys):
+        path = write(tmp_path, "deep.decl", "type ('a) box = B of 'a\n"
+                     "type ('a) t = L of ((((('a) box) box) box) t) lazy [@unboxed]\n"
+                     "type u = U of (int) t [@unboxed]\n")
+        assert cli.main(["check", path]) == 2
+        assert capsys.readouterr().err == (
+            "shapecheck: error: lazy-like arguments nest more than 100 levels deep\n")
+
+    def test_cycle_reported_before_an_earlier_conflict(self, tmp_path, capsys):
+        path = write(tmp_path, "t.decl", "type t = A | B of int [@unboxed] | C of t [@unboxed]\n")
+        code, out = run(capsys, ["check", "--json", path])
+        assert code == 1
+        (doc,) = json.loads(out)["decls"]
+        assert doc == {"name": "t", "verdict": "rejected_cycle",
+                       "witness": {"name": "t", "trace": ["t"]}, "cycle_path": ["t", "t"]}
+
     def test_output_is_deterministic(self, tmp_path, capsys):
         path = write(tmp_path, "zarith.decl", F.ZARITH_DECL)
         _, first = run(capsys, ["check", path])
@@ -226,6 +242,10 @@ def test_usage_error_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["norm", "--no-such-flag", "x"])
     assert exc.value.code == 2
+
+
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
 
 
 def test_internal_error_exits_three(monkeypatch, capsys):

@@ -1,6 +1,12 @@
+import contextlib
+import hashlib
+import io
+import time
+
 import pytest
 
 from shapecheck import calculus as C
+from shapecheck import cli
 from shapecheck import decls as D
 from shapecheck import fixtures as F
 from shapecheck import oracle as O
@@ -11,6 +17,14 @@ from shapecheck import shapes as S
 GROWING_LAZY_DECL = """\
 type ('a) box = B of 'a
 type ('a) t = L of ((('a) box) t) lazy [@unboxed]
+"""
+
+# Three levels per lazy level: at the nesting bound the argument is about 300
+# deep, deeper than a recursive hash or rebuild of it could go.
+DEEP_GROWING_LAZY_DECL = """\
+type ('a) box = B of 'a
+type ('a) t = L of ((((('a) box) box) box) t) lazy [@unboxed]
+type u = U of (int) t [@unboxed]
 """
 
 
@@ -297,6 +311,10 @@ class TestCheckDecls:
         with pytest.raises(D.LazyNestingError):
             self.reports(chain(150))
 
+    def test_deeply_growing_lazy_like_argument_is_an_input_error(self):
+        with pytest.raises(D.LazyNestingError):
+            self.reports(DEEP_GROWING_LAZY_DECL)
+
     def test_abbreviations_get_their_body_shape(self):
         _, (report,) = self.reports("type num = int")
         assert report == D.Accepted("num", shape("top", ()), ())
@@ -319,6 +337,87 @@ class TestCheckDecls:
         a = D.check_decls(D.parse_decls(F.ZARITH_DECL))
         b = D.check_decls(D.parse_decls(F.ZARITH_DECL))
         assert a == b
+
+
+def sum_blowup(n):
+    """t0 = A0 | B0 of int; ti has two unboxed constructors of t{i-1}, so
+    its unfolding has 2^(i+1) components and its first conflict is the
+    third."""
+    return "type t0 = A0 | B0 of int\n" + "".join(
+        f"type t{i} = L{i} of t{i - 1} [@unboxed] | R{i} of t{i - 1} [@unboxed]\n"
+        for i in range(1, n + 1))
+
+
+def abbrev_chain_text(n):
+    return "type a0 = int\n" + "".join(f"type a{i} = a{i - 1}\n" for i in range(1, n + 1)) + (
+        f"type u = U of a{n} [@unboxed] | V of string [@unboxed]\n")
+
+
+def timed_check(text):
+    ds = D.parse_decls(text)
+    start = time.perf_counter()
+    reports = D.check_decls(ds)
+    return reports, time.perf_counter() - start
+
+
+class TestSharedUnfolding:
+    def test_cycle_takes_precedence_over_an_earlier_conflict(self):
+        # A and the int under B overlap before the unfolding meets t again
+        ds = D.parse_decls("type t = A | B of int [@unboxed] | C of t [@unboxed]")
+        assert D.check_decls(ds) == [D.RejectedCycle("t", "t", ("t",), ("t", "t"))]
+
+    def test_cycle_takes_precedence_over_an_unknown_primitive(self):
+        table = {**S.default_prim_table(), "foo": S.PrimEntry(S.TOP_SHAPE)}
+        ds = D.parse_decls("type t = X of foo [@unboxed] | Y of t [@unboxed]", table)
+        assert D.shape_of_type(D.TyApp("t"), ds) == D.Cycle("t", ("t",))
+        with pytest.raises(S.UnknownPrimitiveError):
+            D.shape_of_type(D.TyApp("foo_t"), ds + D.parse_decls("type foo_t = F of foo [@unboxed]", table))
+
+    def test_reports_do_not_depend_on_what_was_checked_before(self):
+        files = [D.parse_decls(text) for text in F.CHECK_CORPUS]
+        files += O.gen_decls(3, O.GenParams(count=300))
+        files.append(D.parse_decls(sum_blowup(6)))
+        files.append(D.parse_decls("type a = A of b [@unboxed] | X\n"
+                                   "type b = B of a [@unboxed] | C of c [@unboxed]\n"
+                                   "type c = K of int [@unboxed]\ntype d = D of b [@unboxed]"))
+        for ds in files:
+            reports = D.check_decls(ds)
+            for i in range(len(ds)):
+                assert D.check_decls(ds[i:] + ds[:i])[0] == reports[i]
+
+    def test_sum_blowup_stops_at_the_first_conflict(self):
+        reports, seconds = timed_check(sum_blowup(30))
+        assert isinstance(reports[0], D.Accepted)
+        assert all(isinstance(r, D.RejectedConflict) for r in reports[1:])
+        assert reports[30].witness == S.ConflictWitness(
+            "imm", 0, "constructor A0 (via " + " -> ".join(f"L{i}" for i in range(30, 0, -1)) + ")",
+            "constructor A0 (via " + " -> ".join([f"L{i}" for i in range(30, 1, -1)] + ["R1"]) + ")")
+        assert seconds < 2.0  # about 6 ms on a 2-core host
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_abbreviation_chain_unfolds_each_link_once(self, reverse):
+        lines = abbrev_chain_text(1500).splitlines(keepends=True)
+        reports, seconds = timed_check("".join(reversed(lines) if reverse else lines))
+        assert len(reports) == 1502
+        assert all(isinstance(r, D.Accepted) for r in reports)
+        assert seconds < 5.0  # about 45 ms on a 2-core host
+
+    def test_check_json_output_is_pinned(self, tmp_path, monkeypatch):
+        # SHA-1 of `check --json` over these files, recorded before the
+        # unfolding was shared across declarations and streamed
+        monkeypatch.chdir(tmp_path)
+        digest = hashlib.sha1()
+        for seed in range(5):
+            names = []
+            for i, ds in enumerate(O.gen_decls(seed, O.GenParams(count=1000))):
+                name = f"s{seed}-{i}.decl"
+                (tmp_path / name).write_text(render_decls(ds))
+                names.append(name)
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert cli.main(["check", "--json", *names]) == 1
+            digest.update(out.getvalue().encode())
+        assert digest.hexdigest() == "809537c0581375c81e1fe31e7590f43638c7e498"
 
 
 class TestMatchPlan:
