@@ -113,17 +113,26 @@ def _unfast(term) -> Term:
     return done[0]
 
 
-def _compile_template(t, params: tuple[str, ...]) -> Callable[[tuple], object]:
+def _compile_template(t, params: tuple[str, ...], defs: dict | None = None) -> Callable:
     """Compile a fast term into `f(args)`, which builds the term with
     argument i in place of parameter i. A subterm without parameters is one
     constant, shared between all instantiations. The code is straight-line,
     one local per application that mentions a parameter, in postorder:
     nested tuple displays would stop at the parser's limit of 200 nested
     parentheses. Heads and constants reach the code through the tuple `K`,
-    so the source holds only indices and local names, never program text."""
+    so the source holds only indices and local names, never program text.
+
+    Given the run's definitions (`_definitions`), it compiles instead the
+    outermost machine's descent into the contractum, `f(args, stack,
+    built)`. For each constructor on the body's leftmost spine (a constant
+    name with arguments that is no definition of their number) it pushes
+    the frame and the head that `_plain_run` would push on its way down to
+    the first argument, with None in that argument's slot. It returns the
+    first spine node that is no such constructor, with that node's entry
+    in `defs` when its name and arity make it a redex, else with None."""
     index = {p: i for i, p in enumerate(params)}
     consts: list = []
-    const_at: dict = {}  # a string, or the id of a tuple -> its index in consts
+    const_at: dict = {}  # a string, or the id of any other constant -> its index in consts
 
     def const(x) -> str:
         key = x if type(x) is str else id(x)
@@ -133,32 +142,69 @@ def _compile_template(t, params: tuple[str, ...]) -> Callable[[tuple], object]:
         return f"k{const_at[key]}"
 
     body: list[str] = []
-    done: list = []  # per finished subtree: (True, the subterm) or (False, a local)
-    stack: list = [(t, False)]
-    while stack:
-        t, expanded = stack.pop()
-        if type(t) is str:
-            done.append((False, f"a{index[t]}") if t in index else (True, t))
-        elif expanded:
-            n = 1 + len(t[1])
-            kids = done[-n:]
-            del done[-n:]
-            if all(folded for folded, _ in kids):
-                done.append((True, t))
-                continue
-            head, *args = [const(x) if folded else x for folded, x in kids]
-            body.append(f"    v{len(body)} = ({head}, ({''.join(a + ', ' for a in args)}))")
-            done.append((False, f"v{len(body) - 1}"))
-        else:
-            stack.append((t, True))
-            stack.extend((a, False) for a in reversed(t[1]))
-            stack.append((t[0], False))
-    folded, result = done[0]
-    result = const(result) if folded else result
+
+    def emit(t) -> tuple[bool, object]:
+        """Code that builds `t`: (True, `t` itself) if it has no parameter,
+        else (False, the local that holds it)."""
+        done: list = []  # per finished subtree: (True, the subterm) or (False, a local)
+        stack: list = [(t, False)]
+        while stack:
+            t, expanded = stack.pop()
+            if type(t) is str:
+                done.append((False, f"a{index[t]}") if t in index else (True, t))
+            elif expanded:
+                n = 1 + len(t[1])
+                kids = done[-n:]
+                del done[-n:]
+                if all(folded for folded, _ in kids):
+                    done.append((True, t))
+                    continue
+                head, *args = [const(x) if folded else x for folded, x in kids]
+                body.append(f"    v{len(body)} = ({head}, ({''.join(a + ', ' for a in args)}))")
+                done.append((False, f"v{len(body) - 1}"))
+            else:
+                stack.append((t, True))
+                stack.extend((a, False) for a in reversed(t[1]))
+                stack.append((t[0], False))
+        return done[0]
+
+    def name(t) -> str:
+        folded, x = emit(t)
+        return const(x) if folded else x
+
+    if defs is None:
+        signature, result = "args", name(t)
+    else:
+        def static_def(t):  # (name, arity) of an application with a constant name head
+            if type(t) is tuple and type(t[0]) is str and t[0] not in index:
+                return t[0], len(t[1])
+            return None
+
+        frames: list[str] = []
+        heads: list[str] = []
+        while (key := static_def(t)) is not None and t[1] and key not in defs:
+            rest = [emit(a) for a in t[1][1:]]
+            if all(folded for folded, _ in rest):
+                kids = const((t[0], None, *(x for _, x in rest)))
+            else:
+                names = [const(x) if folded else x for folded, x in rest]
+                kids = f"({', '.join([const(t[0]), 'None', *names])})"
+            frames.append(f"({kids}, s + {len(frames)})" if frames else f"({kids}, s)")
+            heads.append(t[0])
+            t = t[1][0]
+        key = static_def(t)
+        signature = "args, stack, built"
+        result = f"{name(t)}, {const(defs[key]) if key in defs else None}"
+        if frames:
+            body += [
+                "    s = len(built)",
+                f"    stack += ({''.join(f + ', ' for f in frames)})",
+                f"    built += {const(tuple(heads))}",
+            ]
     source = "\n".join([
         "def make(K):",
         f"  ({''.join(f'k{i}, ' for i in range(len(consts)))}) = K",
-        "  def f(args):",
+        f"  def f({signature}):",
         f"    ({''.join(f'a{i}, ' for i in range(len(params)))}) = args",
         *body,
         f"    return {result}",
@@ -179,26 +225,47 @@ def _whole(focus, stack: list, built: list):
     return focus
 
 
+def _definitions(program: Program) -> dict:
+    """(name, arity) -> [descend, build]: the two forms of a definition
+    that `_compile_template` makes, each compiled on its first call, since
+    innermost runs never descend and a short run reaches few definitions.
+    The entries hold each other (a descent returns the next redex's entry)
+    and so form cycles, which the run breaks when it ends."""
+    defs: dict = {}
+    for name, d in program.def_map.items():
+        entry = defs[name, len(d.params)] = [None, None]
+        entry[:] = [_on_first_call(entry, 0, d, defs), _on_first_call(entry, 1, d, None)]
+    return defs
+
+
+def _on_first_call(entry: list, i: int, d: Definition, defs: dict | None):
+    def first(*args):
+        entry[i] = _compile_template(_fast(d.body), d.params, defs)
+        return entry[i](*args)
+    return first
+
+
 def _plain_run(program: Program, strategy: Strategy, fuel: int,
                observe: Callable | None = None):
     """A zipper to the focus (Huet, "The Zipper", JFP 1997), so that a step
     costs no walk of the whole term. A frame is (the children of a node,
-    child 0 its head; the index on `built` where their rebuilt copies
-    start). Tuples, unlike lists, drop out of the cyclic collector's scans
-    once their contents do, so a deep zipper does not slow every
-    collection down. Outermost tests a node on the way down, and a parent
-    again once its head is rewritten, since a new head may make the parent
-    a redex. Innermost tests a node once its children are done, passing
-    over the last redex's arguments, which are normal. Each definition's
-    body is compiled once per run, by `_compile_template`, into a function
-    that builds the contractum from the redex's arguments, so a step runs
-    no interpreter of its own. `observe(name, path, whole term)` sees each
-    redex found before the fuel check; a value other than None ends the run
-    with that value."""
-    defs = {  # keyed by (name, arity), so a lookup is the whole redex test
-        (name, len(d.params)): _compile_template(_fast(d.body), d.params)
-        for name, d in program.def_map.items()
-    }
+    child 0 its head, with None in the slot of the child in focus when it
+    was pushed; the index on `built` where their rebuilt copies start).
+    Only the children to the right of the focus are read back, so a frame
+    keeps no rewritten redex alive. Tuples, unlike lists, drop out of the
+    cyclic collector's scans once their contents do, so a deep zipper does
+    not slow every collection down. Outermost tests a node on the way
+    down, and a parent again once its head is rewritten, since a new head
+    may make the parent a redex. Innermost tests a node once its children
+    are done, passing over the last redex's arguments, which are normal.
+    Each definition is compiled by `_compile_template`: innermost and a
+    head redex build the contractum and walk it; any other outermost redex
+    is contracted by the definition's descent, which also takes the moves
+    down the body's constructor spine, and without an observer the next
+    redex that the body fixes is taken at once, with no test and no walk.
+    `observe(name, path, whole term)` sees each redex found before the fuel
+    check; a value other than None ends the run with that value."""
+    defs = _definitions(program)  # keyed by (name, arity), so a lookup is the whole redex test
     get_def = defs.get
     outermost = strategy is Strategy.LEFTMOST_OUTERMOST
     steps = 0
@@ -206,62 +273,77 @@ def _plain_run(program: Program, strategy: Strategy, fuel: int,
     focus = _fast(program.root)
     stack: list[tuple] = []
     built: list = []
-    while True:
-        d = None
-        if type(focus) is tuple:
-            h = focus[0]
-            if outermost and type(h) is str:
-                d = get_def((h, len(focus[1])))
-            if d is None and (outermost or not any(a is focus for a in normal)):
-                stack.append(((h,) + focus[1], len(built)))
-                focus = h
-                continue
-        if d is None:
-            # the focus is done: go up to the next child, or to a rebuilt redex
-            done = focus
-            while stack:
-                kids, start = stack[-1]
-                built.append(done)
-                if len(built) - start < len(kids):
-                    focus = kids[len(built) - start]
-                    break
-                stack.pop()
-                h = built[start]
-                done = (h, tuple(built[start + 1:]))
-                del built[start:]
-                if not outermost and type(h) is str:
-                    d = get_def((h, len(done[1])))
-                    if d is not None:
-                        focus = done
-                        break
-            else:
-                return FuelNormal(_unfast(done), steps)
+    try:
+        while True:
+            d = None
+            if type(focus) is tuple:
+                h = focus[0]
+                if outermost and type(h) is str:
+                    d = get_def((h, len(focus[1])))
+                if d is None and (outermost or not any(a is focus for a in normal)):
+                    stack.append(((None,) + focus[1], len(built)))
+                    focus = h
+                    continue
             if d is None:
-                continue
-        if observe is not None:
-            ends = [start for _, start in stack[1:]] + [len(built)]
-            path = tuple(end - start for (_, start), end in zip(stack, ends))
-            verdict = observe(focus[0], path, _whole(focus, stack, built))
-            if verdict is not None:
-                return verdict
-        if steps >= fuel:
-            return OutOfFuel(steps)
-        steps += 1
-        if not outermost:
-            normal = focus[1]
-        focus = d(focus[1])
-        if outermost and stack and stack[-1][1] == len(built):
-            # a rewritten head: the parent comes first in preorder
-            focus = (focus, stack.pop()[0][1:])
+                # the focus is done: go up to the next child, or to a rebuilt redex
+                done = focus
+                while stack:
+                    kids, start = stack[-1]
+                    built.append(done)
+                    if len(built) - start < len(kids):
+                        focus = kids[len(built) - start]
+                        break
+                    stack.pop()
+                    h = built[start]
+                    done = (h, tuple(built[start + 1:]))
+                    del built[start:]
+                    if not outermost and type(h) is str:
+                        d = get_def((h, len(done[1])))
+                        if d is not None:
+                            focus = done
+                            break
+                else:
+                    return FuelNormal(_unfast(done), steps)
+                if d is None:
+                    continue
+            if observe is not None:
+                ends = [start for _, start in stack[1:]] + [len(built)]
+                path = tuple(end - start for (_, start), end in zip(stack, ends))
+                verdict = observe(focus[0], path, _whole(focus, stack, built))
+                if verdict is not None:
+                    return verdict
+            if steps >= fuel:
+                return OutOfFuel(steps)
+            steps += 1
+            if not outermost:
+                normal = focus[1]
+                focus = d[1](normal)
+            elif stack and stack[-1][1] == len(built):
+                # a rewritten head: the parent comes first in preorder
+                focus = (d[1](focus[1]), stack.pop()[0][1:])
+            else:
+                focus, d = d[0](focus[1], stack, built)
+                while d is not None and observe is None:
+                    if steps >= fuel:
+                        return OutOfFuel(steps)
+                    steps += 1
+                    focus, d = d[0](focus[1], stack, built)
+    finally:
+        for entry in defs.values():
+            entry.clear()
 
 
 def fuel_normalize(program: Program, strategy: Strategy = Strategy.LEFTMOST_OUTERMOST,
                    fuel: int = 100_000) -> FuelOutcome:
     """Plain reduction without traces or blocking; OutOfFuel after `fuel`
     steps."""
+    _check_fuel(fuel)
+    return _plain_run(program, strategy, fuel)
+
+
+def _check_fuel(fuel: int) -> None:
     if fuel < 1:
         raise ValueError("fuel must be at least 1")
-    return _plain_run(program, strategy, fuel)
 
 
 def plain_steps(program: Program, strategy: Strategy,
@@ -818,6 +900,7 @@ def run_correctness_suite(seed: int = 77, count: int = 1000, fuel: int = 100_000
     fuel-bounded reduction, and its divergence verdicts leave plain
     leftmost-outermost reduction out of fuel. Programs are independent, so
     they may be checked by several worker processes."""
+    _check_fuel(fuel)
     result = SuiteResult("monitored vs fuel", 0)
     programs = gen_programs(seed, GenParams(count=count))
     if workers is None or workers <= 1:
@@ -989,6 +1072,7 @@ def selftest(seed: int = 42, cases: int = 200, fuel: int = 100_000, echo=print) 
     """Run the whole oracle suite and print one line per suite."""
     from . import fixtures
 
+    _check_fuel(fuel)  # before any suite runs
     suites = [
         run_monitor_demos(),
         run_measure_suite(seed, max(cases, 40)),

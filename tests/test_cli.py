@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from shapecheck import cli
+from shapecheck import cli, oracle
 from shapecheck import fixtures as F
 
 
@@ -236,6 +236,15 @@ class TestSelftest:
         out = capsys.readouterr().out
         assert code == 0
         assert "selftest: all suites passed" in out
+
+    def test_zero_fuel_exits_two_before_any_suite(self, capsys, monkeypatch):
+        called = []
+        for name in dir(oracle):
+            if name.startswith("run_"):
+                monkeypatch.setattr(oracle, name, lambda *a, _name=name, **k: called.append(_name))
+        assert cli.main(["selftest", "--fuel", "0"]) == 2
+        assert capsys.readouterr().err == "shapecheck: error: fuel must be at least 1\n"
+        assert called == []
 
 
 def test_usage_error_exits_two(capsys):

@@ -109,9 +109,99 @@ class TestPlainMachineScale:
         assert C.render_term(out.term) == body.replace("x", "k")
 
 
-def compiled(text, name, mode=C.Mode.FIRST_ORDER):
-    d = C.parse_program(text, mode).def_map[name]
-    return O._compile_template(O._fast(d.body), d.params)
+class TestDescent:
+    """An outermost redex off the head position is contracted by its
+    definition's descent, and without an observer the next redex the body
+    fixes is taken at once; each case is held to the observed run."""
+
+    def test_a_head_redex_whose_contractum_has_a_constructor_spine(self):
+        p = C.parse_program("let rec f(x) = c(x) in f(a)(b)", C.Mode.CLOSED_HIGHER_ORDER)
+        out = O.fuel_normalize(p, LO, 10)
+        assert C.render_term(out.term, C.Mode.CLOSED_HIGHER_ORDER) == "c(a)(b)"
+        assert out.steps == 1
+        assert O.plain_steps(p, LO, 5) == monitored_steps(p, LO) == [((0,), "f", p.root)]
+        assert O.naive_whole_term_monitor(p, LO) == O.head_function_monitor(p, LO) \
+            == O.MonitorNormal(out.term, 1)
+
+    def test_a_spine_that_ends_at_an_argument_that_is_a_redex(self):
+        p = C.parse_program("let rec f(x) = c(d(x, k)) and g() = m in f(g)")
+        assert C.render_term(O.fuel_normalize(p, LO).term) == "c(d(m, k))"
+        assert O.fuel_normalize(p, LO).steps == 2
+        assert O.fuel_normalize(p, LO, 1) == O.OutOfFuel(1)
+        assert [path for path, _, _ in O.plain_steps(p, LO, 5)] == [(), (1, 1)]
+        assert O.plain_steps(p, LO, 5) == monitored_steps(p, LO)
+
+    @pytest.mark.parametrize("fuel", [1, 2, 3, 4])
+    def test_fuel_runs_out_inside_a_chain_of_known_redexes(self, fuel):
+        p = C.parse_program("let rec f() = c(g) and g() = f in f")
+        assert O.fuel_normalize(p, LO, fuel) == O.OutOfFuel(fuel)
+        log = O.plain_steps(p, LO, fuel + 1)
+        assert [path for path, _, _ in log] == [(), (1,), (1,), (1, 1), (1, 1)][:fuel + 1]
+        assert [name for _, name, _ in log] == ["f", "g", "f", "g", "f"][:fuel + 1]
+
+    def test_a_deep_constructor_spine_is_descended_without_recursion(self):
+        n = 10_000
+        body = "c(" * n + "g(x)" + ")" * n
+        p = C.parse_program(f"let rec f(x) = {body} and g(y) = y in f(k)")
+        out = O.fuel_normalize(p, LO)
+        assert out.steps == 2
+        assert C.render_term(out.term) == body.replace("g(x)", "k")
+        (_, _, first), (path, name, _) = O.plain_steps(p, LO, 2)
+        assert first == p.root and (path, name) == ((1,) * n, "g")
+        loop = C.parse_program("let rec f() = " + "c(" * n + "f" + ")" * n + " in f")
+        assert O.fuel_normalize(loop, LO, 3) == O.OutOfFuel(3)
+
+
+class TestChainedAgainstObserved:
+    """`fuel_normalize` runs without an observer, so it chains the known
+    redexes of outermost descents; an observed run, as in `plain_steps`,
+    sees every redex, so it never chains. Both must take the same steps.
+    The observer here logs paths only: `plain_steps` converts the whole
+    term at every step, which takes seconds per program at 400 steps, so
+    it is called for the small counts and held to the path log."""
+
+    FUELS = (1, 2, 3, 5, 8, 60, 400)
+    # outermost walks a shared subterm once per occurrence, and in this
+    # program the shared part grows at every step: about x1.3 time per
+    # step, so past fuel 8 the run would not finish
+    EXPONENTIAL = {(0, C.Mode.CLOSED_HIGHER_ORDER, LO, 8)}
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("mode", list(C.Mode))
+    @pytest.mark.parametrize("strategy", [LO, LI])
+    def test_generated_programs(self, seed, mode, strategy):
+        for pi, program in enumerate(O.gen_programs(seed, O.GenParams(mode=mode))):
+            fuels = self.FUELS[:5] if (seed, mode, strategy, pi) in self.EXPONENTIAL else self.FUELS
+            count = max(fuels) + 1
+            paths: list = []
+
+            def observe(name, path, term):
+                if len(paths) < count:  # as in plain_steps
+                    paths.append(path)
+
+            O._plain_run(program, strategy, count, observe)
+            monitored = C.normalize(program, strategy)
+            for fuel in fuels:
+                # len(O.plain_steps(program, strategy, fuel + 1)), since the log
+                # of a count is the first steps of the log of a larger count
+                logged = min(len(paths), fuel + 1)
+                if fuel < 10:
+                    assert [path for path, _, _ in O.plain_steps(program, strategy, fuel + 1)] \
+                        == paths[:logged]
+                out = O.fuel_normalize(program, strategy, fuel)
+                if logged == fuel + 1:
+                    assert out == O.OutOfFuel(fuel)
+                    continue
+                assert isinstance(out, O.FuelNormal) and out.steps == logged
+                if isinstance(monitored, C.Normal):
+                    assert (C.render_term(out.term, C.Mode.CLOSED_HIGHER_ORDER)
+                            == C.render_term(monitored.term, C.Mode.CLOSED_HIGHER_ORDER))
+
+
+def compiled(text, name, mode=C.Mode.FIRST_ORDER, descent=False):
+    p = C.parse_program(text, mode)
+    d = p.def_map[name]
+    return O._compile_template(O._fast(d.body), d.params, O._definitions(p) if descent else None)
 
 
 class TestCompiledTemplates:
@@ -138,14 +228,35 @@ class TestCompiledTemplates:
         assert compiled("let rec i(x) = x in i(k)", "i")((arg,)) is arg
 
     def test_the_generated_code_holds_no_program_text(self):
-        text = "let rec swap(x, y) = pair(y, cons(x, nil)) and pair(u, v) = u in swap(k, k)"
-        f = compiled(text, "swap")
-        code = f.__code__
-        names = set(code.co_varnames + code.co_names + code.co_freevars + code.co_cellvars)
-        assert names.isdisjoint({"swap", "pair", "cons", "nil", "x", "y", "u", "v", "k"})
-        assert not [c for c in code.co_consts if isinstance(c, str)]
-        # taken out of its exec namespace: no function <-> globals cycle
-        assert all(v is not f for v in f.__globals__.values())
+        text = ("let rec swap(x, y) = pair(y, cons(x, nil)) and pair(u, v) = u"
+                " and spine(x) = cons(cons(pair(x, nil), x), nil) in swap(k, k)")
+        for f in [compiled(text, "swap"), compiled(text, "swap", descent=True),
+                  compiled(text, "spine", descent=True)]:
+            code = f.__code__
+            names = set(code.co_varnames + code.co_names + code.co_freevars + code.co_cellvars)
+            assert names.isdisjoint({"swap", "pair", "cons", "nil", "spine",
+                                     "x", "y", "u", "v", "k"})
+            assert not [c for c in code.co_consts if isinstance(c, str)]
+            # taken out of its exec namespace: no function <-> globals cycle
+            assert all(v is not f for v in f.__globals__.values())
+
+    def test_a_descent_pushes_the_spine_and_returns_the_next_redex(self):
+        p = C.parse_program("let rec f(x) = c(d(g(x), x, k), m) and g(y) = y in f(k)")
+        defs = O._definitions(p)
+        descend = O._compile_template(O._fast(p.def_map["f"].body), ("x",), defs)
+        arg = ("a", ())
+        stack, built = [("frame below",)], ["built below"]
+        node, entry = descend((arg,), stack, built)
+        assert node == ("g", (arg,)) and node[1][0] is arg
+        assert entry is defs["g", 1]
+        # None in the slot of the child in focus
+        assert stack[1:] == [(("c", None, ("m", ())), 1), (("d", None, arg, ("k", ())), 2)]
+        assert built == ["built below", "c", "d"]
+        again: list = []
+        descend((arg,), again, [])
+        assert again[0][0] is stack[1][0]  # a frame without parameters is one constant
+        leaf = O._compile_template(O._fast(p.def_map["g"].body), ("y",), defs)
+        assert leaf((arg,), [], []) == (arg, None)
 
     def test_names_that_look_like_generated_locals(self):
         p = C.parse_program("let rec f(args, make, a1) = g(a1, make, args, k0, v0) in f(x, y, z)")
@@ -395,6 +506,11 @@ class TestSuites:
     def test_small_correctness_suite(self):
         r = O.run_correctness_suite(5, 60)
         assert r.ok, r.failures[:3]
+
+    def test_zero_fuel_is_refused_before_any_program_runs(self, monkeypatch):
+        monkeypatch.setattr(O, "gen_programs", lambda *a: pytest.fail("programs generated"))
+        with pytest.raises(ValueError, match="fuel must be at least 1"):
+            O.run_correctness_suite(5, 8, fuel=0)
 
     def test_small_macro_agreement_suite(self):
         r = O.run_macro_agreement_suite(5, 60)
