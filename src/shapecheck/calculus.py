@@ -6,16 +6,16 @@ produced it. A call whose own name already occurs in its trace is refused
 finite time instead of looping. Terms and programs are immutable, so all
 values here can be shared freely between threads.
 
-`step` is the reference single-step semantics: it searches the whole term
-for the strategy-first redex. `normalize` takes exactly the same steps on a
-focus machine (a zipper) that goes on from the last rewrite, so its work is
-linear in the steps it takes; the tests hold it to a loop over `step`.
+`normalize` takes the strategy-first step on a focus machine (a zipper)
+that goes on from the last rewrite, so its work is linear in the steps it
+takes. The tests hold it, step by step, to a reference that searches the
+whole term for that redex again (`reference_step` in tests/test_calculus.py).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, cmp_to_key
+from functools import cached_property
 from typing import Callable, Collection, Mapping, Sequence
 
 from . import syntax
@@ -217,13 +217,6 @@ def erase(term: AnnTerm) -> Term:
     return memo[id(term)]
 
 
-def subterm_at(term: AnnTerm, path: Path) -> AnnTerm:
-    t = term
-    for i in path:
-        t = _children(t)[i]
-    return t
-
-
 def replace_at(term: AnnTerm, path: Path, sub: AnnTerm) -> AnnTerm:
     spine: list[AnnApp] = []
     t = term
@@ -239,69 +232,9 @@ def replace_at(term: AnnTerm, path: Path, sub: AnnTerm) -> AnnTerm:
 
 
 @dataclass(frozen=True)
-class RedexSite:
-    path: Path
-    name: str
-    trace: Trace
-    enabled: bool
-
-
-def find_redexes(
-    program: Program, term: AnnTerm, frozen: frozenset[str] = frozenset()
-) -> list[RedexSite]:
-    """All application positions headed by a defined name, in preorder.
-
-    Positions are classified as enabled or blocked by trace membership.
-    Subtrees of applications headed by a name in `frozen` (and not defined)
-    are treated as opaque and not searched.
-    """
-    defs = program.def_map
-    out: list[RedexSite] = []
-    stack: list[tuple[Path, AnnTerm]] = [((), term)]
-    while stack:
-        path, t = stack.pop()
-        if isinstance(t, Var):
-            continue
-        head = t.head
-        if isinstance(head, Var):
-            if head.name in frozen and head.name not in defs:
-                continue
-            d = defs.get(head.name)
-            if d is not None and len(t.args) == len(d.params):
-                out.append(RedexSite(path, head.name, t.trace, head.name not in t.trace))
-        kids = _children(t)
-        for i in range(len(kids) - 1, -1, -1):
-            stack.append((path + (i,), kids[i]))
-    return out
-
-
-def _postorder_path_cmp(a: Path, b: Path) -> int:
-    if a == b:
-        return 0
-    n = min(len(a), len(b))
-    if a[:n] == b[:n]:
-        return 1 if len(a) < len(b) else -1  # ancestors come after their subtrees
-    i = next(k for k in range(n) if a[k] != b[k])
-    return -1 if a[i] < b[i] else 1
-
-
-def _ordered_sites(sites: list[RedexSite], strategy: Strategy) -> list[RedexSite]:
-    if strategy is Strategy.LEFTMOST_OUTERMOST:
-        return sites
-    key = cmp_to_key(_postorder_path_cmp)
-    return sorted(sites, key=lambda s: key(s.path))
-
-
-@dataclass(frozen=True)
 class Reduced:
-    term: AnnTerm
     path: Path
     name: str
-
-
-@dataclass(frozen=True)
-class NormalForm:
-    pass
 
 
 @dataclass(frozen=True)
@@ -309,38 +242,6 @@ class Blocked:
     path: Path
     name: str
     trace: Trace
-
-
-StepResult = Reduced | NormalForm | Blocked
-
-
-def step(
-    program: Program,
-    term: AnnTerm,
-    strategy: Strategy = Strategy.LEFTMOST_OUTERMOST,
-    frozen: frozenset[str] = frozenset(),
-) -> StepResult:
-    """One monitored reduction step under the given strategy.
-
-    The strategy alone chooses the position: the strategy-first redex is
-    rewritten if its trace permits and reported as Blocked otherwise, so a
-    monitored run that never blocks takes exactly the steps the
-    unmonitored strategy would take.
-    """
-    sites = _ordered_sites(find_redexes(program, term, frozen), strategy)
-    if not sites:
-        return NormalForm()
-    s = sites[0]
-    if not s.enabled:
-        return Blocked(s.path, s.name, s.trace)
-    node = subterm_at(term, s.path)
-    d = program.def_map[s.name]
-    if len(node.args) != len(d.params):
-        raise MalformedProgramError(
-            f"{s.name!r} applied to {len(node.args)} argument(s), expects {len(d.params)}"
-        )
-    body = annotate(d.body, dict(zip(d.params, node.args)), node.trace + (s.name,))
-    return Reduced(replace_at(term, s.path, body), s.path, s.name)
 
 
 @dataclass(frozen=True)
@@ -374,8 +275,8 @@ def normalize(
     only; `on_step` is invoked after each reduction with the terms before
     and after.
 
-    Takes exactly the steps that repeated `step` takes, but resumes at the
-    last rewrite instead of searching the whole term again (see `_Focus`).
+    Resumes at the last rewrite instead of searching the whole term again
+    (see `_Focus`); the test reference `reference_step` does search it again.
     """
     machine = _Focus(program, frozen, max_steps, on_step)
     if strategy is Strategy.LEFTMOST_OUTERMOST:
@@ -518,7 +419,7 @@ class _Focus:
             # the term changes only at the focus between two steps
             path = self._path()
             after = replace_at(self.term, path, self.focus)
-            self.on_step(self.term, after, Reduced(after, path, d.name))
+            self.on_step(self.term, after, Reduced(path, d.name))
             self.term = after
 
     def _path(self) -> Path:

@@ -202,47 +202,64 @@ class _DeclParser(syntax.Cursor):
 
     # -- type expressions
 
-    def type_atom(self):
-        t = self.peek()
-        if t.kind == "tyvar":
-            self.next()
-            return TVar(t.text[1:]), None
-        if t.kind == "lident":
-            self.next()
-            return _RawRef(t.text, (), t.line, t.col), None
-        if t.text == "(":
-            self.next()
-            first = self.type_expr(allow_star=True)
-            if self.peek().text == ",":
-                items = [first]
-                while self.peek().text == ",":
-                    self.next()
-                    items.append(self.type_expr(allow_star=True))
-                self.expect(")")
-                return None, tuple(items)
-            self.expect(")")
-            return first, None
-        raise self.fail(f"expected a type, found {t.text or 'end of input'!r}", t)
-
     def type_expr(self, allow_star: bool = False) -> TypeExpr:
-        node, pending = self.type_atom()
-        if pending is not None:
-            t = self.peek()
-            if t.kind != "lident" or t.text in ("of", "type"):
-                raise self.fail("a parenthesized argument list must be followed by a type name", t)
-            self.next()
-            node = _RawRef(t.text, pending, t.line, t.col)
-        while self.peek().kind == "lident" and self.peek().text not in ("of", "type"):
-            t = self.next()
-            node = _RawRef(t.text, (node,), t.line, t.col)
-        if allow_star and self.peek().text == "*":
-            parts = [node]
-            start = self.peek()
-            while self.peek().text == "*":
-                self.next()
-                parts.append(self.type_expr(allow_star=False))
-            node = _RawRef("tuple", tuple(parts), start.line, start.col)
-        return node
+        """An atom (a type variable, a type name, a parenthesized type or
+        argument list), then postfix type names, then, where `allow_star`,
+        `* type` parts. Read on an explicit stack of frames `[allow_star,
+        items before a comma, parts before a star, the first star]`, one for
+        the whole type and one per open `(`; the position is kept in a local."""
+        toks, pos = self.toks, self.pos
+        frames: list[list] = [[allow_star, [], [], None]]
+        while True:
+            t = toks[pos]
+            pos += 1
+            while t.text == "(":
+                frames.append([True, [], [], None])
+                t = toks[pos]
+                pos += 1
+            if t.kind == "tyvar":
+                node, pending = TVar(t.text[1:]), None
+            elif t.kind == "lident":
+                node, pending = _RawRef(t.text, (), t.line, t.col), None
+            else:
+                raise self.fail(f"expected a type, found {t.text or 'end of input'!r}", t)
+            while True:  # `node`, or the argument list `pending`, is an atom
+                t = toks[pos]
+                if pending is not None:
+                    if t.kind != "lident" or t.text in ("of", "type"):
+                        raise self.fail(
+                            "a parenthesized argument list must be followed by a type name", t)
+                    node = _RawRef(t.text, pending, t.line, t.col)
+                    pos += 1
+                    t = toks[pos]
+                while t.kind == "lident" and t.text not in ("of", "type"):
+                    node = _RawRef(t.text, (node,), t.line, t.col)
+                    pos += 1
+                    t = toks[pos]
+                frame = frames[-1]
+                star, items, parts, first_star = frame
+                if star and t.text == "*":
+                    if not parts:
+                        frame[3] = t
+                    parts.append(node)
+                    pos += 1
+                    break  # read the next part
+                if parts:
+                    node = _RawRef("tuple", (*parts, node), first_star.line, first_star.col)
+                    parts.clear()
+                if len(frames) == 1:
+                    self.pos = pos
+                    return node
+                items.append(node)
+                if t.text == ",":
+                    pos += 1
+                    break  # read the next item
+                if t.text != ")":
+                    self.pos = pos
+                    self.expect(")")
+                pos += 1
+                frames.pop()
+                node, pending = (None, tuple(items)) if len(items) > 1 else (items[0], None)
 
     # -- constructors and declarations
 
@@ -335,25 +352,37 @@ class _RawVariant:
 
 
 def _resolve_type(ty, env: Mapping[str, Decl], prims: PrimTable, params: set[str]):
-    if isinstance(ty, TVar):
-        if ty.name not in params:
-            raise UnboundTypeNameError(f"unbound type variable '{ty.name}")
-        return ty
-    if isinstance(ty, _RawRef):
-        args = tuple(_resolve_type(a, env, prims, params) for a in ty.args)
-        if ty.name in env:
-            want = len(env[ty.name].params)
-            if len(args) != want:
-                raise ArityMismatchError(
-                    f"type {ty.name!r} expects {want} argument(s), got {len(args)}",
-                    ty.line,
-                    ty.col,
-                )
-            return TyApp(ty.name, args)
-        if ty.name in prims:
-            return PrimApp(ty.name, args)
-        raise UnboundTypeNameError(f"unbound type name {ty.name!r}", ty.line, ty.col)
-    return ty
+    """Resolve raw references in postorder on an explicit stack: a reference
+    with arguments is pushed back as `(ref,)` under them and, once popped
+    again, gathers their resolutions off `built`."""
+    built: list[TypeExpr] = []
+    stack: list = [ty]
+    while stack:
+        t = stack.pop()
+        if type(t) is _RawRef and t.args:
+            stack.append((t,))
+            stack.extend(reversed(t.args))
+            continue
+        if type(t) is tuple:
+            t = t[0]
+            first = len(built) - len(t.args)
+            args = tuple(built[first:])
+            del built[first:]
+        elif type(t) is _RawRef:
+            args = ()
+        elif type(t) is TVar and t.name not in params:
+            raise UnboundTypeNameError(f"unbound type variable '{t.name}")
+        else:
+            built.append(t)
+            continue
+        decl = env.get(t.name)
+        if decl is not None and len(args) != len(decl.params):
+            raise ArityMismatchError(f"type {t.name!r} expects {len(decl.params)} argument(s), "
+                                     f"got {len(args)}", t.line, t.col)
+        if decl is None and t.name not in prims:
+            raise UnboundTypeNameError(f"unbound type name {t.name!r}", t.line, t.col)
+        built.append(TyApp(t.name, args) if decl is not None else PrimApp(t.name, args))
+    return built[0]
 
 
 def parse_decls(text: str, prims: PrimTable | None = None) -> list[Decl]:

@@ -15,14 +15,7 @@ from typing import Callable, Hashable, Iterable
 from .calculus import AnnTerm, Mode, Var
 
 
-class _Bottom:
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return "bot"
-
-
-BOTTOM = _Bottom()
+BOTTOM = None  # the key of variable and bare-name leaves; `render_key` spells it `bot`
 
 TraceKey = frozenset  # of names; BOTTOM stands below every key
 NodeMeasure = tuple  # of TraceKey, canonically sorted
@@ -32,11 +25,7 @@ TreeMeasure = list  # of NodeMeasure
 def key_less(a, b) -> bool:
     """Strict order on trace keys: bottom below everything, otherwise
     strict superset (longer traces are smaller)."""
-    if a is BOTTOM:
-        return b is not BOTTOM
-    if b is BOTTOM:
-        return False
-    return a > b
+    return b is not BOTTOM and (a is BOTTOM or a > b)
 
 
 def _key_sort_token(k) -> tuple:

@@ -187,47 +187,120 @@ class TestErase:
             assert afters == nexts
 
 
-class TestFindRedexes:
+def first_redex(program, term, strategy, frozen):
+    """The path and node of the strategy-first redex of the whole term:
+    the first in preorder for outermost, in postorder for innermost. The
+    children of an application headed by a name that is frozen and not
+    defined are not searched."""
+    defs = program.def_map
+    stack = [((), term, False)]
+    while stack:
+        path, t, searched = stack.pop()
+        if isinstance(t, C.Var):
+            continue
+        head = t.head
+        name = head.name if isinstance(head, C.Var) else None
+        d = defs.get(name)
+        redex = d is not None and len(t.args) == len(d.params)
+        if searched or (redex and strategy is LO):
+            if redex:
+                return path, t
+            continue
+        if name in frozen and d is None:
+            continue
+        if strategy is LI:
+            stack.append((path, t, True))
+        kids = (head,) + t.args
+        stack.extend((path + (i,), kids[i], False) for i in reversed(range(len(kids))))
+    return None
+
+
+def reference_step(program, term, strategy=LO, frozen=frozenset()):
+    """One monitored step, found by searching the whole term again: None at
+    a normal form, the witness if the trace refuses the redex, otherwise
+    the step and the term after it."""
+    found = first_redex(program, term, strategy, frozen)
+    if found is None:
+        return None
+    path, node = found
+    name = node.head.name
+    if name in node.trace:
+        return C.Blocked(path, name, node.trace)
+    d = program.def_map[name]
+    body = C.annotate(d.body, dict(zip(d.params, node.args)), node.trace + (name,))
+    return C.Reduced(path, name), C.replace_at(term, path, body)
+
+
+def reference_loop(program, strategy=LO, frozen=frozenset(), max_steps=None):
+    """`normalize` spelled as a loop over `reference_step`; returns the
+    outcome and the rendered `on_step` log."""
+    log = []
+    current = C.annotate(program.root, {}, ())
+    steps = 0
+    while True:
+        result = reference_step(program, current, strategy, frozen)
+        if result is None:
+            return C.Normal(C.erase(current), steps), log
+        if isinstance(result, C.Blocked):
+            return C.Diverges(result, steps), log
+        steps += 1
+        if max_steps is not None and steps > max_steps:
+            raise C.MalformedProgramError(f"step limit {max_steps} exceeded")
+        info, after = result
+        log.append(logged(program, current, after, info))
+        current = after
+
+
+def logged(program, before, after, info):
+    return (C.render_ann_term(before, program.mode), C.render_ann_term(after, program.mode),
+            info.path, info.name)
+
+
+def first_steps(program, strategy=LO):
+    """The outcome of `normalize` and its rendered `on_step` log."""
+    log = []
+    out = C.normalize(program, strategy, on_step=lambda *a: log.append(logged(program, *a)))
+    return out, log
+
+
+class TestReferenceStep:
     def test_blocked_root(self):
         p = C.parse_program(F.LOOP_LAM)
         term = ann("loop", [ann("list", [ann("int")], ("loop",))], ("loop",))
-        sites = C.find_redexes(p, term)
-        assert sites == [C.RedexSite((), "loop", ("loop",), False)]
+        assert reference_step(p, term) == C.Blocked((), "loop", ("loop",))
 
     def test_no_defined_applications(self):
         p = C.parse_program(F.LOOP_LAM)
-        assert C.find_redexes(p, ann("list", [ann("int")])) == []
+        assert reference_step(p, ann("list", [ann("int")])) is None
 
     def test_outermost_first(self):
         p = C.parse_program(F.ID_LAM)
-        sites = C.find_redexes(p, C.annotate(p.root, {}, ()))
-        assert [(s.path, s.enabled) for s in sites] == [((), True), ((1,), True)]
+        start = C.annotate(p.root, {}, ())
+        assert reference_step(p, start, LO)[0] == C.Reduced((), "id")
+        assert reference_step(p, start, LI)[0] == C.Reduced((1,), "id")
 
 
-class TestStep:
+class TestFirstSteps:
     def test_loop_first_step_then_blocked(self):
-        p = C.parse_program(F.LOOP_LAM)
-        r = C.step(p, C.annotate(p.root, {}, ()))
-        assert isinstance(r, C.Reduced)
-        assert C.render_ann_term(r.term) == "loop[loop](list[loop](int[]))"
-        r2 = C.step(p, r.term)
-        assert r2 == C.Blocked((), "loop", ("loop",))
+        out, log = first_steps(C.parse_program(F.LOOP_LAM))
+        assert [after for _, after, _, _ in log] == ["loop[loop](list[loop](int[]))"]
+        assert out.witness == C.Blocked((), "loop", ("loop",))
 
     def test_delta_reduces_then_blocks(self):
-        p = C.parse_program(F.DELTA_LAM, HO)
-        r = C.step(p, C.annotate(p.root, {}, ()))
-        assert isinstance(r, C.Reduced)
-        assert C.render_ann_term(r.term, HO) == "delta(delta)[delta]"
-        assert isinstance(C.step(p, r.term), C.Blocked)
+        out, log = first_steps(C.parse_program(F.DELTA_LAM, HO))
+        assert [after for _, after, _, _ in log] == ["delta(delta)[delta]"]
+        assert isinstance(out, C.Diverges)
 
     def test_normal_form_without_redexes(self):
         p = C.parse_program("c(int)")
-        assert C.step(p, C.annotate(p.root, {}, ())) == C.NormalForm()
+        assert first_steps(p) == (C.Normal(p.root, 0), [])
+        assert reference_step(p, C.annotate(p.root, {}, ())) is None
 
     def test_innermost_picks_inner_redex(self):
         p = C.parse_program(F.ID_LAM)
-        r = C.step(p, C.annotate(p.root, {}, ()), LI)
-        assert isinstance(r, C.Reduced) and r.path == (1,)
+        (_, _, inner, _), *_ = first_steps(p, LI)[1]
+        (_, _, outer, _), *_ = first_steps(p, LO)[1]
+        assert (inner, outer) == ((1,), ())
 
 
 class TestNormalize:
@@ -271,36 +344,11 @@ class TestNormalize:
                 assert lo.term == li.term
 
 
-def step_loop(program, strategy=LO, frozen=frozenset(), max_steps=None):
-    """`normalize` spelled as a loop over `step`, the reference semantics;
-    returns the outcome and the rendered `on_step` log."""
-    log = []
-    current = C.annotate(program.root, {}, ())
-    steps = 0
-    while True:
-        result = C.step(program, current, strategy, frozen)
-        if isinstance(result, C.NormalForm):
-            return C.Normal(C.erase(current), steps), log
-        if isinstance(result, C.Blocked):
-            return C.Diverges(result, steps), log
-        steps += 1
-        if max_steps is not None and steps > max_steps:
-            raise C.MalformedProgramError(f"step limit {max_steps} exceeded")
-        log.append(logged(program, current, result.term, result))
-        current = result.term
-
-
-def logged(program, before, after, info):
-    return (C.render_ann_term(before, program.mode), C.render_ann_term(after, program.mode),
-            info.path, info.name)
-
-
 def machine(program, strategy=LO, frozen=frozenset(), max_steps=None):
     log = []
     last = [None]
 
     def on_step(before, after, info):
-        assert info.term is after
         assert last[0] is None or before is last[0]  # each step starts from the last one's term
         last[0] = after
         log.append(logged(program, before, after, info))
@@ -314,8 +362,8 @@ FROZEN_SETS = [frozenset(), frozenset({"c1", "k", "f0"})]
 
 
 class TestMachineAgainstStep:
-    """`normalize` takes exactly the steps a loop over `step` takes: same
-    outcome, same witness, same `on_step` sequence."""
+    """`normalize` takes exactly the steps a loop over `reference_step`
+    takes: same outcome, same witness, same `on_step` sequence."""
 
     @pytest.mark.parametrize("frozen", FROZEN_SETS, ids=["thawed", "frozen"])
     @pytest.mark.parametrize("strategy", [LO, LI], ids=["outermost", "innermost"])
@@ -324,7 +372,7 @@ class TestMachineAgainstStep:
         outcomes = set()
         for seed in (0, 1):
             for program in O.gen_programs(seed, O.GenParams(count=300, mode=mode)):
-                expected = step_loop(program, strategy, frozen)
+                expected = reference_loop(program, strategy, frozen)
                 assert machine(program, strategy, frozen) == expected, C.render_program(program)
                 outcomes.add(type(expected[0]))
         assert outcomes == {C.Normal, C.Diverges}
@@ -337,7 +385,7 @@ class TestMachineAgainstStep:
     def test_fixtures(self, text, mode, strategy):
         program = C.parse_program(text, mode)
         for frozen in FROZEN_SETS + [frozenset({"int", "list", "done", "fortytwo"})]:
-            assert machine(program, strategy, frozen) == step_loop(program, strategy, frozen)
+            assert machine(program, strategy, frozen) == reference_loop(program, strategy, frozen)
 
     K = C.Normal(C.Var("k"), 2)
     HEAD_FIRST = "let rec id(x) = x and g(y) = k and w() = w() in id(g)(w())"
@@ -355,7 +403,7 @@ class TestMachineAgainstStep:
     def test_rewritten_head_makes_the_parent_a_redex(self, text, strategy, second, outcome):
         program = C.parse_program(text, HO)
         out, log = machine(program, strategy)
-        assert (out, log) == step_loop(program, strategy)
+        assert (out, log) == reference_loop(program, strategy)
         assert out == outcome
         assert [(path, name) for _, _, path, name in log] == [((0,), "id"), second]
 
@@ -364,15 +412,15 @@ class TestMachineAgainstStep:
         program = C.parse_program("let rec id(x) = x and f(y) = y in id(c)(f(k))", HO)
         frozen = frozenset({"c"})
         out, log = machine(program, strategy, frozen)
-        assert (out, log) == step_loop(program, strategy, frozen)
+        assert (out, log) == reference_loop(program, strategy, frozen)
         assert out.steps == 1 and C.render_term(out.term, HO) == "c(f(k))"
 
     def test_shared_argument_under_innermost(self):
         program = C.parse_program(
             "let rec f(x) = g(x, x) and g(a, b) = p(b, a) and h(y) = q(y) in f(f(h(k)))")
-        assert machine(program, LO) == step_loop(program, LO)
+        assert machine(program, LO) == reference_loop(program, LO)
         out, log = machine(program, LI)
-        assert (out, log) == step_loop(program, LI)
+        assert (out, log) == reference_loop(program, LI)
         assert C.render_term(out.term) == "p(p(q(k), q(k)), p(q(k), q(k)))"
         assert [name for *_, name in log] == ["h", "f", "g", "f", "g"]
 
@@ -380,7 +428,7 @@ class TestMachineAgainstStep:
     def test_blocked_witness_path(self, strategy):
         program = C.parse_program("let rec loop(a) = c(d, loop(a)) in e(k, loop(k))")
         out, log = machine(program, strategy)
-        assert (out, log) == step_loop(program, strategy)
+        assert (out, log) == reference_loop(program, strategy)
         assert out.witness == C.Blocked((2, 2), "loop", ("loop",))
 
     @pytest.mark.parametrize("limit", [0, 1, 3, 6])
@@ -388,7 +436,7 @@ class TestMachineAgainstStep:
     def test_max_steps_raises_at_the_same_step(self, strategy, limit):
         program = expo(2)  # seven steps
         with pytest.raises(C.MalformedProgramError, match=f"step limit {limit} exceeded"):
-            step_loop(program, strategy, max_steps=limit)
+            reference_loop(program, strategy, max_steps=limit)
         seen = []
         with pytest.raises(C.MalformedProgramError, match=f"step limit {limit} exceeded"):
             C.normalize(program, strategy, max_steps=limit, on_step=lambda *a: seen.append(a))

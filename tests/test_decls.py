@@ -220,6 +220,41 @@ class TestDeepChains:
         assert D.shape_of_type(top, ds) == shape((), {0, 1})
 
 
+DEPTH = 10_000
+BOX = "type 'a box = B of 'a\ntype u = U of "
+
+
+class TestDeepTypes:
+    """The type reader and resolver run on explicit stacks."""
+
+    @pytest.mark.parametrize("arg", [
+        "(" * DEPTH + "int box" + ") box" * DEPTH,
+        "int" + " box" * (DEPTH + 1),
+    ], ids=["parenthesized", "postfix"])
+    def test_box_depth_ten_thousand(self, arg):
+        ds = D.parse_decls(BOX + arg + " [@unboxed]\n")
+        (ty,) = ds[1].body.ctors[0].arg_types
+        depth = 0
+        while isinstance(ty, D.TyApp) and ty.name == "box":
+            (ty,), depth = ty.args, depth + 1
+        assert (depth, ty) == (DEPTH + 1, D.PrimApp("int"))
+        assert [type(r) for r in D.check_decls(ds)] == [D.Accepted, D.Accepted]
+
+    @pytest.mark.parametrize("arg, error, message", [
+        ("(" * DEPTH + "int box" + ") box" * (DEPTH - 1), D.DeclSyntaxError,
+         "2:1: expected ')', found 'end of input'"),
+        ("(" * DEPTH + "int, int)" + ") box" * (DEPTH - 1), D.DeclSyntaxError,
+         f"2:{15 + DEPTH + 9}: a parenthesized argument list must be followed by a type name"),
+        ("intt" + " box" * DEPTH, D.UnboundTypeNameError, "2:15: unbound type name 'intt'"),
+        ("(" * DEPTH + "(int, int) box" + ") box" * DEPTH, D.ArityMismatchError,
+         f"2:{15 + DEPTH + 11}: type 'box' expects 1 argument(s), got 2"),
+    ], ids=["unclosed", "list-without-name", "unbound", "arity"])
+    def test_deep_malformed_types_keep_their_errors(self, arg, error, message):
+        with pytest.raises(error) as caught:
+            D.parse_decls(BOX + arg)
+        assert str(caught.value) == message
+
+
 class TestShapeOfSnf:
     def ctx(self, ds):
         return S.ShapeContext(S.default_prim_table(), lambda ty: D.shape_of_type(ty, ds))

@@ -99,18 +99,16 @@ class TestKeyOrder:
 
 class TestAssertDecrease:
     def test_every_single_step_of_id_id_decreases(self):
-        # both available first steps, enumerated exhaustively
+        # both available first steps: the outer redex first under outermost,
+        # the inner one under innermost
         program = C.parse_program("let rec id(a) = a in id(id(int))")
-        start = C.annotate(program.root, {}, ())
-        sites = C.find_redexes(program, start)
-        assert len(sites) == 2
-        for site in sites:
-            node_at = C.subterm_at(start, site.path)
-            d = program.def_map[site.name]
-            body = C.annotate(d.body, dict(zip(d.params, node_at.args)),
-                              node_at.trace + (site.name,))
-            stepped = C.replace_at(start, site.path, body)
-            assert M.assert_decrease(start, stepped)
+        for strategy, path in ((C.Strategy.LEFTMOST_OUTERMOST, ()),
+                               (C.Strategy.LEFTMOST_INNERMOST, (1,))):
+            steps = []
+            C.normalize(program, strategy, on_step=lambda *a: steps.append(a))
+            before, after, info = steps[0]
+            assert info.path == path
+            assert M.assert_decrease(before, after)
 
     def test_equal_terms_do_not_decrease(self):
         t = node("f", trace=("f",))
