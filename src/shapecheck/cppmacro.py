@@ -1,22 +1,24 @@
 """Core-fragment macro expander with hide sets.
 
 Function-like macros only: identifiers, parentheses, commas and opaque
-literal tokens. Identifier and parenthesis tokens carry a hide set of
-macro names that are never re-expanded from that token; a macro call adds
-its own name, intersected between the hide sets of the name token and the
-closing parenthesis, to everything it produces. Expansion runs on an
-explicit stack and expands each actual at most once per call. The module
-also provides a harness comparing expansion against monitored
-normalization of the same system encoded as a first-order program.
+literal tokens. A token is a `(text, hide)` pair: identifiers and
+parentheses carry a frozenset of macro names that are never re-expanded
+from that token, literals carry None, and every comma is the one `_COMMA`
+object. A macro call adds its own name, intersected between the hide sets
+of the name token and the closing parenthesis, to everything it produces.
+Expansion runs on an explicit stack and expands each actual at most once
+per call. The module also provides a harness comparing expansion against
+monitored normalization of the same system encoded as a first-order program.
 """
 from __future__ import annotations
 
-import re
 import weakref
-from dataclasses import dataclass, replace
-from typing import Iterable, Mapping
+from dataclasses import dataclass
+from itertools import groupby
+from operator import attrgetter
+from typing import Iterable, Mapping, Sequence
 
-from . import calculus
+from . import calculus, syntax
 from .calculus import Mode, Program, Definition, Strategy, Term
 from .syntax import Tok
 
@@ -37,34 +39,15 @@ class ExpansionBudgetError(MacroError):
     pass
 
 
-@dataclass(frozen=True)
-class Ident:
-    name: str
-    hide: frozenset[str] = frozenset()
+Token = tuple  # (identifier or parenthesis, frozenset) or (literal or ",", None)
+TokenSeq = Sequence[Token]
+_COMMA = (",", None)
+_EMPTY: frozenset[str] = frozenset()
 
-
-@dataclass(frozen=True)
-class LParen:
-    hide: frozenset[str] = frozenset()
-
-
-@dataclass(frozen=True)
-class RParen:
-    hide: frozenset[str] = frozenset()
-
-
-@dataclass(frozen=True)
-class Comma:
-    pass
-
-
-@dataclass(frozen=True)
-class Other:
-    text: str
-
-
-Token = Ident | LParen | RParen | Comma | Other
-TokenSeq = tuple[Token, ...]
+# Tokens one `expand` may stamp, summed over its substitutions: an actual
+# that doubles at each level runs out of memory long before its few
+# substitutions reach the budget.
+_TOKEN_LIMIT = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -76,44 +59,12 @@ class MacroDef:
 
 def hsadd(hide: frozenset[str], tokens: Iterable[Token]) -> TokenSeq:
     """Union `hide` into the hide set of every identifier and parenthesis."""
-    out = []
-    for t in tokens:
-        if isinstance(t, (Ident, LParen, RParen)):
-            out.append(replace(t, hide=t.hide | hide))
-        else:
-            out.append(t)
-    return tuple(out)
-
-
-# Inside the engine a token is a `(text, hide)` pair: `hide` is a frozenset for
-# identifiers and parentheses and None for commas and literals. Identifier
-# names are never punctuation, and every comma is the one `_COMMA` object.
-_COMMA = (",", None)
-_PUNCT = {LParen: "(", RParen: ")", Comma: ","}
-
-
-def _pair(t: Token) -> tuple:
-    cls = type(t)
-    if cls is Ident:
-        return t.name, t.hide
-    if cls is Other:
-        return t.text, None
-    return _COMMA if cls is Comma else (_PUNCT[cls], t.hide)
-
-
-def _token(p: tuple) -> Token:
-    text, hide = p
-    if hide is None:
-        return Comma() if p is _COMMA else Other(text)
-    if text == "(":
-        return LParen(hide)
-    return RParen(hide) if text == ")" else Ident(text, hide)
+    return tuple(t if t[1] is None else (t[0], t[1] | hide) for t in tokens)
 
 
 def _body(body: Iterable[Token], formals: tuple[str, ...]) -> list:
-    """`body` as pairs, each formal occurrence replaced by the formal's index."""
-    return [formals.index(t.name) if type(t) is Ident and t.name in formals else _pair(t)
-            for t in body]
+    """`body` with each formal occurrence replaced by the formal's index."""
+    return [formals.index(t[0]) if t[1] is not None and t[0] in formals else t for t in body]
 
 
 class _Subst:
@@ -121,11 +72,11 @@ class _Subst:
     expanded actual with the substitutions its expansion took."""
     __slots__ = ("items", "actuals", "hide", "acc", "memo", "waiting", "start")
 
-    def __init__(self, body: list, actuals: list, hide: frozenset[str], acc: list):
+    def __init__(self, body: list, actuals: list, hide: frozenset[str]):
         self.items = iter(body)
         self.actuals = actuals
         self.hide = hide
-        self.acc = acc
+        self.acc: list = []
         self.memo: dict[int, tuple[list, int]] = {}
 
 
@@ -139,6 +90,7 @@ class _Engine:
         self.defs = defs
         self.budget = budget
         self.substs = 0
+        self.stamped = 0
         self.bodies: dict[str, list] = {}
         self.interned: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
@@ -158,8 +110,12 @@ class _Engine:
         return live
 
     def stamp(self, tokens: list, hide: frozenset[str]) -> list:
-        """`tokens` with `hide` added to every hide set. Each set object is
-        united once per call, and a union that changes nothing keeps the set."""
+        """`tokens` with `hide` added to every hide set, charged against
+        `_TOKEN_LIMIT`. Each set object is united once per call, and a union
+        that changes nothing keeps the set."""
+        self.stamped += len(tokens)
+        if self.stamped > _TOKEN_LIMIT:
+            raise ExpansionBudgetError(f"more than {_TOKEN_LIMIT} tokens")
         united: dict[int, frozenset[str]] = {}
         out = []
         last = last_united = None
@@ -217,7 +173,7 @@ class _Engine:
                         body = self.bodies[name] = _body(d.body, d.formals)
                     # `name` is not in `hide`, so the union always adds it
                     called = self.intern((hide if hide is rhide else hide & rhide) | {name})
-                    stack.append(_Subst(body, actuals, called, []))
+                    stack.append(_Subst(body, actuals, called))
                     break
                 out.append(tok)
             else:
@@ -255,72 +211,46 @@ def _split_actuals(work: list, name: str) -> tuple[list[list], frozenset[str]]:
 
 
 def expand(tokens: Iterable[Token], defs: Mapping[str, MacroDef],
-           budget: int = 1_000_000) -> TokenSeq:
+           budget: int = 1_000_000) -> list[Token]:
     """Fully expand a token sequence. Hidden names pass through; a macro
     name directly followed by `(` is substituted and the result rescanned
     together with the remaining input. Each actual is expanded at most once
     per call; `budget` bounds the substitutions that repeated expansion of
-    the actuals would have performed."""
-    work = [_pair(t) for t in tokens]
+    the actuals would have performed, and `_TOKEN_LIMIT` the tokens the
+    substitutions produce."""
+    work = list(tokens)
     work.reverse()
-    return tuple(map(_token, _Engine(defs, budget).run([(work, [])])))
-
-
-def subst(body: Iterable[Token], formals: tuple[str, ...], actuals: list[TokenSeq],
-          hide: frozenset[str], out: TokenSeq = (),
-          defs: Mapping[str, MacroDef] | None = None,
-          budget: int = 1_000_000) -> TokenSeq:
-    """Replace formals in `body` by the expansion of the matching actuals,
-    then add `hide` to the whole output."""
-    pending = _Subst(_body(body, formals), [[_pair(t) for t in a] for a in actuals],
-                     hide, [_pair(t) for t in out])
-    return tuple(map(_token, _Engine(defs or {}, budget).run([pending])))
+    return _Engine(defs, budget).run([(work, [])])
 
 
 # ---------------------------------------------------------------------------
 # Concrete syntax
 
-_C_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_C_OTHER = re.compile(r"[^\sA-Za-z_(),]+")
+# `//` starts a comment anywhere, so a run of other characters stops before it;
+# every character matches some rule, and the common ones are tried first.
+_SCAN = syntax.scanner(("name", r"[A-Za-z_][A-Za-z0-9_]*"), ("punct", r"[(),]"),
+                       (syntax.SKIP, r"//.*"), ("other", r"(?:(?!//)[^\sA-Za-z_(),])+"))
 
 
-def tokenize(text: str) -> TokenSeq:
-    out: list[Token] = []
-    pos = 0
-    while pos < len(text):
-        ch = text[pos]
-        if ch.isspace():
-            pos += 1
-            continue
-        if ch == "(":
-            out.append(LParen())
-            pos += 1
-            continue
-        if ch == ")":
-            out.append(RParen())
-            pos += 1
-            continue
-        if ch == ",":
-            out.append(Comma())
-            pos += 1
-            continue
-        m = _C_IDENT.match(text, pos)
-        if m:
-            out.append(Ident(m.group(0)))
-            pos = m.end()
-            continue
-        m = _C_OTHER.match(text, pos)
-        out.append(Other(m.group(0)))
-        pos = m.end()
-    return tuple(out)
+def _lex(text: str) -> list[Tok]:
+    return syntax.lex(text, _SCAN, syntax.SourceError)[:-1]  # without `eof`
+
+
+def _pairs(toks: Iterable[Tok]) -> tuple[Token, ...]:
+    return tuple([_COMMA if t.text == "," else (t.text, None if t.kind == "other" else _EMPTY)
+                  for t in toks])
+
+
+def tokenize(text: str) -> tuple[Token, ...]:
+    return _pairs(_lex(text))
 
 
 def _check_balanced(tokens: TokenSeq, what: str, lineno: int) -> None:
     depth = 0
-    for t in tokens:
-        if isinstance(t, LParen):
+    for text, _ in tokens:
+        if text == "(":
             depth += 1
-        elif isinstance(t, RParen):
+        elif text == ")":
             depth -= 1
             if depth < 0:
                 raise MacroError(f"line {lineno}: unbalanced parentheses in {what}")
@@ -332,57 +262,55 @@ def parse_macro_file(text: str) -> tuple[dict[str, MacroDef], TokenSeq]:
     """`#define NAME(args) body` lines followed by exactly one call line."""
     defs: dict[str, MacroDef] = {}
     call: TokenSeq | None = None
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.split("//", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("#define"):
-            rest = tokenize(line[len("#define"):])
-            if not rest or not isinstance(rest[0], Ident):
+    for lineno, line in groupby(_lex(text), attrgetter("line")):
+        toks = list(line)
+        if (len(toks) > 1 and toks[0].text == "#" and toks[1].text == "define"
+                and toks[1].col == toks[0].col + 1):  # `#define` as one word
+            rest = toks[2:]
+            if not rest or rest[0].kind != "name":
                 raise MacroError(f"line {lineno}: malformed #define")
-            name = rest[0].name
-            if len(rest) < 3 or not isinstance(rest[1], LParen):
+            name = rest[0].text
+            if len(rest) < 3 or rest[1].text != "(":
                 raise MacroError(f"line {lineno}: {name!r} must be a function-like macro")
-            # `(` then `)` or Ident (Comma Ident)* `)`
-            close = next((i for i, t in enumerate(rest) if isinstance(t, RParen)), None)
+            # `(` then `)` or name (`,` name)* `)`
+            close = next((i for i, t in enumerate(rest) if t.text == ")"), None)
             inner = rest[2:close]
             if (close is None or (inner and len(inner) % 2 == 0)
-                    or not all(isinstance(t, Ident) for t in inner[0::2])
-                    or not all(isinstance(t, Comma) for t in inner[1::2])):
+                    or not all(t.kind == "name" for t in inner[0::2])
+                    or not all(t.text == "," for t in inner[1::2])):
                 raise MacroError(f"line {lineno}: malformed parameter list of {name!r}")
-            formals = [t.name for t in inner[0::2]]
+            formals = tuple(t.text for t in inner[0::2])
             if name in defs:
                 raise MacroError(f"line {lineno}: duplicate definition of {name!r}")
             if len(set(formals)) != len(formals):
                 raise MacroError(f"line {lineno}: duplicate parameter of {name!r}")
-            body = rest[close + 1:]
+            body = _pairs(rest[close + 1:])
             _check_balanced(body, f"the body of {name!r}", lineno)
-            defs[name] = MacroDef(name, tuple(formals), body)
+            defs[name] = MacroDef(name, formals, body)
         else:
             if call is not None:
                 raise MacroError(f"line {lineno}: more than one call line")
-            call = tokenize(line)
+            call = _pairs(toks)
             _check_balanced(call, "the call", lineno)
     if call is None:
         raise MacroError("missing call line")
     return defs, call
 
 
-_PUNCT_TOKS = {cls: Tok("punct", text, 1, 1) for cls, text in _PUNCT.items()}
-
-
 def render_tokens(tokens: Iterable[Token], show_hide_sets: bool = False) -> str:
-    parts = []
-    for t in tokens:
-        text = _PUNCT.get(type(t)) or (t.name if isinstance(t, Ident) else t.text)
-        if show_hide_sets and isinstance(t, (Ident, LParen, RParen)) and t.hide:
-            text += "^{" + ",".join(sorted(t.hide)) + "}"
-        parts.append(text)
-    return " ".join(parts)
+    if not show_hide_sets:
+        return " ".join(text for text, _ in tokens)
+    return " ".join(text + "^{" + ",".join(sorted(hide)) + "}" if hide else text
+                    for text, hide in tokens)
 
 
 # ---------------------------------------------------------------------------
 # Agreement with monitored normalization on the first-order fragment
+
+
+def _opens(tokens: TokenSeq, i: int) -> bool:
+    """Whether `tokens[i]` exists and is an opening parenthesis."""
+    return i < len(tokens) and tokens[i][0] == "(" and tokens[i][1] is not None
 
 
 def first_order_violation(defs: Mapping[str, MacroDef], call: TokenSeq) -> str | None:
@@ -394,10 +322,9 @@ def first_order_violation(defs: Mapping[str, MacroDef], call: TokenSeq) -> str |
         if clash:
             return f"formal {sorted(clash)[0]!r} of {d.name!r} shadows a macro"
     def scan(tokens: TokenSeq, where: str) -> str | None:
-        for i, t in enumerate(tokens):
-            if isinstance(t, Ident) and t.name in defs:
-                if i + 1 >= len(tokens) or not isinstance(tokens[i + 1], LParen):
-                    return f"{t.name!r} is used in non-applied position in {where}"
+        for i, (text, hide) in enumerate(tokens):
+            if hide is not None and text in defs and not _opens(tokens, i + 1):
+                return f"{text!r} is used in non-applied position in {where}"
         return None
     for d in defs.values():
         bad = scan(d.body, f"the body of {d.name!r}")
@@ -409,14 +336,9 @@ def first_order_violation(defs: Mapping[str, MacroDef], call: TokenSeq) -> str |
 def _term_of_tokens(tokens: TokenSeq, what: str, formals: frozenset[str] = frozenset()) -> Term:
     # The error below keeps no position, so tokens of equal text are shared:
     # building one per input token costs more than reading it.
-    shared: dict = dict(_PUNCT_TOKS)  # keyed by class for punctuation, by text for names
-    toks = []
-    for t in tokens:
-        key = t.name if type(t) is Ident else t.text if type(t) is Other else type(t)
-        tok = shared.get(key)
-        if tok is None:
-            tok = shared[key] = Tok("name", key, 1, 1)
-        toks.append(tok)
+    shared = {p: Tok("punct", p, 1, 1) for p in "(),"}
+    toks = [shared.get(text) or shared.setdefault(text, Tok("name", text, 1, 1))
+            for text, _ in tokens]
     try:
         return calculus.read_term(toks, formals)
     except calculus.ParseError as e:
@@ -440,16 +362,8 @@ def translate_macros(defs: Mapping[str, MacroDef], call: TokenSeq) -> Program:
 
 
 def _residual_blocked(tokens: TokenSeq, defs: Mapping[str, MacroDef]) -> bool:
-    for i, t in enumerate(tokens):
-        if (
-            isinstance(t, Ident)
-            and t.name in defs
-            and t.name in t.hide
-            and i + 1 < len(tokens)
-            and isinstance(tokens[i + 1], LParen)
-        ):
-            return True
-    return False
+    return any(hide is not None and text in defs and text in hide and _opens(tokens, i + 1)
+               for i, (text, hide) in enumerate(tokens))
 
 
 @dataclass(frozen=True)

@@ -63,7 +63,7 @@ def lex(text: str, scan: Scanner, error: type[SourceError]) -> list[Tok]:
                 raise error(f"unexpected character {m.group(i)!r}", lineno, m.start(i) + 1)
             if kind != SKIP:
                 toks.append(_make_tok((kind, m.group(i), lineno, m.start(i) + 1)))
-    toks.append(Tok("eof", "", len(lines), 1))
+    toks.append(Tok("eof", "", len(lines), len(lines[-1]) + 1))  # after the last character
     return toks
 
 

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from shapecheck import cli, oracle
+from shapecheck import cli, cppmacro, oracle
 from shapecheck import fixtures as F
 
 
@@ -193,6 +193,15 @@ class TestCpp:
         n = 1500
         path = write(tmp_path, "deep.cpp", "#define f(x) x\n" + "f(" * n + "z" + ")" * n)
         assert run(capsys, ["cpp", path]) == (0, "z\n")
+
+    def test_token_limit_is_an_input_error(self, tmp_path, capsys, monkeypatch):
+        # the argument doubles at each of 10 levels, in 12 substitutions
+        monkeypatch.setattr(cppmacro, "_TOKEN_LIMIT", 1000)
+        lines = ["#define z(x,y) c", "#define f0(x) z(x,x)"]
+        lines += [f"#define f{i}(x) f{i - 1}(k(x,x))" for i in range(1, 11)]
+        path = write(tmp_path, "dup.cpp", "\n".join(lines) + "\nf10(a)\n")
+        assert cli.main(["cpp", path]) == 2
+        assert capsys.readouterr().err == "shapecheck: error: more than 1000 tokens\n"
 
 
 class TestCompareCpp:

@@ -14,34 +14,21 @@ def hs(*names):
 
 class TestHsadd:
     def test_empty_is_identity(self):
-        ts = (P.Ident("x"), P.Comma(), P.Other("42"))
+        ts = P.tokenize("x, 42")
         assert P.hsadd(hs(), ts) == ts
 
     def test_union_into_existing(self):
-        assert P.hsadd(hs("f"), (P.Ident("x", hs("g")),)) == (P.Ident("x", hs("f", "g")),)
+        assert P.hsadd(hs("f"), [("x", hs("g"))]) == (("x", hs("f", "g")),)
 
     def test_idempotent(self):
-        ts = (P.Ident("x"), P.LParen(), P.RParen(hs("q")))
+        ts = (("x", hs()), ("(", hs()), (")", hs("q")))
         once = P.hsadd(hs("h"), ts)
         assert P.hsadd(hs("h"), once) == once
 
     def test_literals_carry_no_hide_sets(self):
-        assert P.hsadd(hs("f"), (P.Other("42"), P.Comma())) == (P.Other("42"), P.Comma())
-
-
-class TestSubst:
-    def test_formal_replaced_by_expanded_actual_then_hidden(self):
-        body = (P.Ident("xxx"),)
-        out = P.subst(body, ("xxx",), [(P.Ident("G1"),)], hs("NIL"))
-        assert out == (P.Ident("G1", hs("NIL")),)
-
-    def test_empty_body(self):
-        assert P.subst((), ("x",), [(P.Ident("a"),)], hs("f")) == ()
-
-    def test_no_formals_just_hides(self):
-        body = (P.Ident("done"), P.LParen(), P.RParen())
-        out = P.subst(body, ("x",), [(P.Ident("a"),)], hs("f"))
-        assert out == (P.Ident("done", hs("f")), P.LParen(hs("f")), P.RParen(hs("f")))
+        ts = P.tokenize("42,")
+        assert ts == (("42", None), (",", None))
+        assert P.hsadd(hs("f"), ts) == ts
 
 
 class TestExpand:
@@ -52,11 +39,19 @@ class TestExpand:
     def test_forwarding_chain_reaches_the_literal(self):
         out, _ = self.expand(F.NIL_CPP)
         assert P.render_tokens(out) == "42"
+        out, _ = self.expand("#define NIL(xxx) xxx\nNIL(G1)\n")
+        assert out == [("G1", hs("NIL"))]
+
+    def test_bodies_without_formals(self):
+        out, _ = self.expand("#define f(x)\nf(a)\n")
+        assert out == []
+        out, _ = self.expand("#define f(x) done()\nf(a)\n")
+        assert out == [("done", hs("f")), ("(", hs("f")), (")", hs("f"))]
 
     def test_self_application_chain(self):
         out, _ = self.expand(F.ACHAIN_CPP)
         assert P.render_tokens(out) == "b"
-        assert out == (P.Ident("b", hs("a")),)
+        assert out == [("b", hs("a"))]
 
     def test_two_argument_blocker_stops_short(self):
         out, defs = self.expand(F.FSTOP_CPP)
@@ -65,34 +60,35 @@ class TestExpand:
             "f^{f,id} (^{f,id} stop^{f,id} , stop^{f,id} )^{f,id}"
         )
         # the residual call is hidden, not expandable
-        assert out[0].name in out[0].hide
+        name, hide = out[0]
+        assert name in hide
 
     def test_hidden_names_pass_through(self):
-        defs = {"m": P.MacroDef("m", ("x",), (P.Ident("x"),))}
-        ts = (P.Ident("m", hs("m")), P.LParen(), P.Ident("y"), P.RParen())
+        defs = {"m": P.MacroDef("m", ("x",), P.tokenize("x"))}
+        ts = [("m", hs("m")), *P.tokenize("(y)")]
         assert P.expand(ts, defs) == ts
 
     def test_nested_actuals_split_at_top_level_commas_only(self):
-        defs = {"pick": P.MacroDef("pick", ("x", "y"), (P.Ident("y"),))}
+        defs = {"pick": P.MacroDef("pick", ("x", "y"), P.tokenize("y"))}
         ts = P.tokenize("pick(f(a, b), c)")
         assert P.render_tokens(P.expand(ts, defs)) == "c"
 
     def test_wrong_arity_is_malformed(self):
-        defs = {"m": P.MacroDef("m", ("x", "y"), (P.Ident("x"),))}
+        defs = {"m": P.MacroDef("m", ("x", "y"), P.tokenize("x"))}
         with pytest.raises(P.MalformedCallError):
             P.expand(P.tokenize("m(a)"), defs)
 
     def test_unbalanced_call_is_malformed(self):
-        defs = {"m": P.MacroDef("m", ("x",), (P.Ident("x"),))}
+        defs = {"m": P.MacroDef("m", ("x",), P.tokenize("x"))}
         with pytest.raises(P.MalformedCallError):
             P.expand(P.tokenize("m(a"), defs)
 
     def test_output_hide_sets_name_only_defined_macros(self):
         for text in (F.NIL_CPP, F.ACHAIN_CPP, F.FSTOP_CPP, F.LOOP_CPP, F.ID_CPP):
             defs, call = P.parse_macro_file(text)
-            for tok in P.expand(call, defs):
-                if isinstance(tok, (P.Ident, P.LParen, P.RParen)):
-                    assert tok.hide <= set(defs)
+            for _, hide in P.expand(call, defs):
+                if hide is not None:
+                    assert hide <= set(defs)
 
     def test_expansion_terminates_within_budget_on_generated_systems(self):
         for defs, call in O.gen_macros(99, O.GenParams(count=60)):
@@ -108,6 +104,16 @@ class TestExpand:
         )
         with pytest.raises(P.ExpansionBudgetError, match="^more than 4 substitutions$"):
             P.expand(call, defs, budget=4)
+
+    def test_token_limit_counts_every_stamped_token(self, monkeypatch):
+        # each `id` stamps its one token `a`, then `two` stamps `p ( a , a )`: 1 + 1 + 6
+        defs, call = P.parse_macro_file(
+            "#define id(x) x\n#define two(x) p(x, x)\ntwo(id(id(a)))\n")
+        monkeypatch.setattr(P, "_TOKEN_LIMIT", 8)
+        assert P.render_tokens(P.expand(call, defs)) == "p ( a , a )"
+        monkeypatch.setattr(P, "_TOKEN_LIMIT", 7)
+        with pytest.raises(P.ExpansionBudgetError, match="^more than 7 tokens$"):
+            P.expand(call, defs)
 
     @pytest.mark.parametrize("seed, params, digest", [
         (4242, O.GenParams(count=500, max_arity=2), "930bf48b557b164ea35e4d3049aa9698329426bc"),
@@ -131,10 +137,15 @@ class TestParseMacroFile:
             P.parse_macro_file("#define f(x) x\nf(a)\nf(b)\n")
         with pytest.raises(P.MacroError):
             P.parse_macro_file("#define f(x) x\n")
+        with pytest.raises(P.MacroError, match="^line 2: more than one call line$"):
+            P.parse_macro_file("#definef(x) x\nf(a)\n")  # `#define` is one word
 
     def test_comments_stripped(self):
         defs, call = P.parse_macro_file("#define f(x) x // id\nf(a) // call\n")
         assert P.render_tokens(call) == "f ( a )"
+        defs, call = P.parse_macro_file("#define f(x) x+// id\nf(a)+//+ call\n")
+        assert P.render_tokens(defs["f"].body) == "x +"
+        assert P.render_tokens(call) == "f ( a ) +"
 
     def test_unbalanced_body_rejected(self):
         with pytest.raises(P.MacroError):
@@ -195,8 +206,8 @@ class TestCompareFirstOrder:
 
     def test_formal_shadowing_a_macro_is_diagnosed(self):
         defs = {
-            "f": P.MacroDef("f", ("g",), (P.Ident("g"),)),
-            "g": P.MacroDef("g", ("x",), (P.Ident("x"),)),
+            "f": P.MacroDef("f", ("g",), P.tokenize("g")),
+            "g": P.MacroDef("g", ("x",), P.tokenize("x")),
         }
         assert P.first_order_violation(defs, P.tokenize("f(a)")) is not None
 

@@ -242,7 +242,7 @@ class TestDeepTypes:
 
     @pytest.mark.parametrize("arg, error, message", [
         ("(" * DEPTH + "int box" + ") box" * (DEPTH - 1), D.DeclSyntaxError,
-         "2:1: expected ')', found 'end of input'"),
+         f"2:{15 + DEPTH + 7 + 5 * (DEPTH - 1)}: expected ')', found 'end of input'"),
         ("(" * DEPTH + "int, int)" + ") box" * (DEPTH - 1), D.DeclSyntaxError,
          f"2:{15 + DEPTH + 9}: a parenthesized argument list must be followed by a type name"),
         ("intt" + " box" * DEPTH, D.UnboundTypeNameError, "2:15: unbound type name 'intt'"),
