@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import reduce
-from itertools import chain
 from typing import Mapping, Sequence
 
 from . import calculus, syntax
@@ -28,7 +27,6 @@ from .shapes import (
     PrimComponent,
     PrimTable,
     ShapeContext,
-    UnknownPrimitiveError,
     VarComponent,
     component_shape,
     default_prim_table,
@@ -150,14 +148,30 @@ def make_variant(specs) -> VariantBody:
     return VariantBody(tuple(ctors))
 
 
-def render_type(ty: TypeExpr) -> str:
-    if isinstance(ty, TVar):
-        return f"'{ty.name}"
-    if not ty.args:
-        return ty.name
-    if len(ty.args) == 1:
-        return f"({render_type(ty.args[0])}) {ty.name}"
-    return f"({', '.join(render_type(a) for a in ty.args)}) {ty.name}"
+def render_type(ty: TypeExpr, prim_mark: str = "") -> str:
+    """Postfix concrete syntax, `(a, b) name`, built on an explicit stack:
+    types may nest thousands of levels deep. With `prim_mark` in front of
+    each primitive's name, the text also tells primitives from declared types."""
+    out: list[str] = []
+    stack: list = [ty]
+    while stack:
+        t = stack.pop()
+        if t.__class__ is str:
+            out.append(t)
+        elif t.__class__ is TVar:
+            out.append("'" + t.name)
+        else:
+            name = prim_mark + t.name if prim_mark and t.__class__ is PrimApp else t.name
+            if not t.args:
+                out.append(name)
+                continue
+            out.append("(")
+            stack.append(") " + name)
+            for a in reversed(t.args[1:]):  # each later argument follows a comma
+                stack.append(a)
+                stack.append(", ")
+            stack.append(t.args[0])
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------
@@ -460,15 +474,18 @@ def _subst_type(ty: TypeExpr, sub: Mapping[str, TypeExpr]) -> TypeExpr:
     return type(ty)(ty.name, args)
 
 
-# A closure is a type expression as written in some body, the closures bound
-# to that body's parameters, and the trace of the unfoldings that wrote it:
-# `(type, bindings, trace)`. A bound parameter stands for its argument's own
-# closure, trace included. Traces and `via` paths are shared linked nodes,
-# never copied per level:
+# Closures and `via` paths. A closure is a type expression as written in
+# some body with the closures bound to that body's parameters: `(type,
+# bindings)` in the component walk and, in the cycle walk, `(type,
+# bindings, trace)`, the trace being that of the unfoldings that wrote it. A
+# bound parameter stands for its argument's own closure, trace included.
+# Traces and `via` paths are shared linked nodes, never copied per level:
 # - a trace node is `(parent, name, depth)`, None being the empty trace;
 # - a `where` node is `(parent, path)`, `path` being a linked list
 #   `(label, rest)` of `via` labels in root-first order; None is the empty
 #   `via`.
+
+_NO_BINDINGS: Mapping = {}  # the bindings of a root or a parameterless body
 
 
 def _plain(ty: TypeExpr, bind: Mapping) -> TypeExpr:
@@ -485,33 +502,13 @@ def _plain(ty: TypeExpr, bind: Mapping) -> TypeExpr:
             out.append(cls(name, args))
             continue
         while isinstance(ty, TVar) and ty.name in bind:
-            ty, bind, _trace = bind[ty.name]
+            ty, bind = bind[ty.name]
         if isinstance(ty, TVar) or not ty.args:
             out.append(ty)
             continue
         stack.append(((type(ty), ty.name, len(ty.args)), None))
         stack.extend((a, bind) for a in reversed(ty.args))
     return out[0]
-
-
-def _spelling(ty: TypeExpr) -> str:
-    """A text that identifies a type expression, built on an explicit stack:
-    the dataclass hash and equality recurse once per nesting level."""
-    out: list[str] = []
-    stack: list = [ty]
-    while stack:
-        t = stack.pop()
-        if isinstance(t, str):
-            out.append(t)
-        elif isinstance(t, TVar):
-            out.append("'" + t.name)
-        else:
-            out.append(("#" if isinstance(t, PrimApp) else "") + t.name + "(")
-            stack.append(")")
-            for a in reversed(t.args):  # each argument is followed by a comma
-                stack.append(",")
-                stack.append(a)
-    return "".join(out)
 
 
 def _trace_names(node) -> tuple[str, ...]:
@@ -566,190 +563,167 @@ def _path(where, base, tail):
     return tail
 
 
-class _Entry:
-    """The unfolding of a parameterless declaration, met at `base`: `items`
-    lists `(path, component or _Entry)` in order, `path` leading from `base`
-    to the item. An entry without items (None) only tells that the
-    unfolding is cycle-free.
-
-    A finished entry holds under any trace that does not hold its
-    declaration. Each name on a trace wrote the next one into its body,
-    where it is unfolded whatever the arguments, and the last wrote the
-    declaration. Had the declaration's own unfolding met such a name, it
-    would have gone on to meet the declaration again: a cycle of its own,
-    and the entry would not have finished."""
-
-    __slots__ = ("name", "base", "items")
-
-    def __init__(self, name: str, base, items: list | None):
-        self.name = name
-        self.base = base
-        self.items = items
+# The cycle walk is the one walk over an unfolding that always runs in full;
+# past this many steps it stops with an input error.
+_UNFOLD_LIMIT = 10**6
 
 
-def _record(entry: _Entry, where, sub: _Entry) -> None:
-    """Append a finished entry met at `where`. An entry of at most one item
-    is spliced in, so a chain of abbreviations is one item whose path shares
-    its tail with the next link's."""
-    if len(sub.items) < 2:
-        entry.items.extend((_path(where, entry.base, path), x) for path, x in sub.items)
-    else:
-        entry.items.append((_path(where, entry.base, None), sub))
+class UnfoldBudgetError(DeclError):
+    pass
 
 
-class _Unfolding:
-    """The monitored unfolding of one type, depth first on an explicit stack,
-    iterated as `(component, where)` pairs with each component's `via` left
-    in `where`. On a cycle the iteration ends and `cycle` holds it.
+def _cycle(ty: TypeExpr, env: Mapping[str, Decl], free: set[str]) -> Cycle | None:
+    """The first cycle that the monitored unfolding of `ty` meets, depth
+    first on an explicit stack, or None. `free` holds the parameterless
+    declarations known to be cycle-free, which are not unfolded again; each
+    one whose unfolding finishes here joins it.
 
-    Parameterless declarations are looked up in `memo`, shared by every
-    unfolding over the same declarations. After `finish()` the rest of the
-    unfolding runs in a cycle-only mode that builds no components and skips
-    every memo entry: a finished entry is cycle-free by construction."""
+    Such a declaration stays cycle-free under any trace that does not hold
+    it. Each name on a trace wrote the next one into its body, where it is
+    unfolded whatever the arguments, and the last wrote the declaration. Had
+    the declaration's own unfolding met such a name, it would have gone on
+    to meet the declaration again: a cycle of its own, and the declaration
+    would not have joined `free`."""
+    active: set[str] = set()  # the names on trace `cur`
+    cur = None
+    steps, limit = 0, _UNFOLD_LIMIT
+    stack: list = [(ty, _NO_BINDINGS, None)]
+    while stack:
+        steps += 1
+        if steps > limit:
+            raise UnfoldBudgetError(f"more than {limit} unfolding steps")
+        item = stack.pop()
+        if item.__class__ is str:  # this parameterless declaration is unfolded
+            free.add(item)
+            continue
+        ty, bind, trace = item
+        while isinstance(ty, TVar) and ty.name in bind:
+            ty, bind, trace = bind[ty.name]
+        decl = env[ty.name] if isinstance(ty, TyApp) else None
+        if decl is None or isinstance(decl.body, AbstractBody):
+            continue
+        name = ty.name
+        if trace is not cur:
+            _retrace(active, cur, trace)
+            cur = trace
+        if name in active:
+            return Cycle(name, _trace_names(trace))
+        if decl.params:
+            sub = {p: (a, bind, trace) for p, a in zip(decl.params, ty.args)}
+        elif name in free:
+            continue
+        else:
+            sub = _NO_BINDINGS
+            stack.append(name)
+        cur = (trace, name, trace[2] + 1 if trace else 1)
+        active.add(name)
+        if isinstance(decl.body, AbbrevBody):
+            stack.append((decl.body.body, sub, cur))
+            continue
+        for c in reversed(decl.body.ctors):
+            if c.unboxed:
+                stack.append((c.arg_types[0], sub, cur))
+    return None
 
-    __slots__ = ("env", "memo", "building", "cycle", "_open", "_gen", "_rest")
 
-    def __init__(self, ty: TypeExpr, env: Mapping[str, Decl], memo: dict[str, _Entry]):
-        self.env = env
-        self.memo = memo
-        self.building = True
-        self.cycle: Cycle | None = None
-        self._open: list[_Entry] = []
-        self._gen = self._run(ty)
-        self._rest: list = []
+def _components(ty: TypeExpr, env: Mapping[str, Decl], memo: dict[str, list]):
+    """The components of the unfolding of `ty`, which `_cycle` has cleared,
+    in the order of that walk: `(component, where)` pairs, with each
+    component's `via` left in `where`.
 
-    def __iter__(self):
-        return chain(self._gen, self._rest)
-
-    def settle(self) -> Cycle | None:
-        """Unfold the rest now, keeping its components for the iteration."""
-        self._rest.extend(self._gen)
-        return self.cycle
-
-    def finish(self) -> Cycle | None:
-        """Unfold the rest for cycles only."""
-        self.building = False
-        for entry in self._open:
-            entry.items = None
-        for _ in self._gen:
-            pass
-        return self.cycle
-
-    def _walk(self, entry: _Entry, where):
-        stack: list = [(entry, where)]
-        while stack:
-            item, where = stack.pop()
-            if item.__class__ is not _Entry:
-                yield item, where
-                if not self.building:
-                    return
-                continue
-            for path, x in reversed(item.items):
-                stack.append((x, where if path is None else (where, path)))
-
-    def _run(self, ty: TypeExpr):
-        env, memo, open_ = self.env, self.memo, self._open
-        building = True  # `finish` turns it off while this waits at a yield
-        active: set[str] = set()  # the names on trace `cur`
-        cur = None
-        stack: list = [(ty, {}, None, None)]
-        while stack:
-            item = stack.pop()
-            if item.__class__ is _Entry:  # its declaration is unfolded
-                open_.pop()
-                if item.items is None:
-                    memo.setdefault(item.name, item)
-                    continue
-                memo[item.name] = item
-                if open_:
-                    _record(open_[-1], item.base, item)
-                continue
-            if len(item) == 2:  # a boxed constructor
-                comp, where = item
-            else:
-                ty, bind, trace, where = item
-                while isinstance(ty, TVar) and ty.name in bind:
-                    ty, bind, trace = bind[ty.name]
-                decl = env[ty.name] if isinstance(ty, TyApp) else None
-                if decl is None or isinstance(decl.body, AbstractBody):
-                    if not building:
-                        continue
-                    if isinstance(ty, TVar):
-                        comp = VarComponent(ty.name)
-                    else:
-                        args = tuple(_plain(a, bind) for a in ty.args)
-                        comp = (PrimComponent(ty.name, args) if decl is None
-                                else OpaqueComponent(ty.name, args, decl.body.shape))
+    `memo` maps each parameterless declaration whose unfolding finished to
+    its `(path, component)` list, `path` leading from where the declaration
+    was met to the component. Such a list is spliced into that of the
+    declaration being unfolded around it, so a chain of abbreviations is one
+    item whose path shares its tail with the next link's."""
+    open_: list = []  # (base, items) per parameterless declaration being unfolded
+    stack: list = [(ty, _NO_BINDINGS, None)]
+    while stack:
+        item = stack.pop()
+        if item.__class__ is str:  # this parameterless declaration is unfolded
+            base, items = open_.pop()
+            memo[item] = items
+            if open_:
+                outer, out = open_[-1]
+                out.extend((_path(base, outer, path), c) for path, c in items)
+            continue
+        if len(item) == 2:  # a boxed constructor
+            comp, where = item
+        else:
+            ty, bind, where = item
+            while isinstance(ty, TVar) and ty.name in bind:
+                ty, bind = bind[ty.name]
+            decl = env[ty.name] if isinstance(ty, TyApp) else None
+            if decl is None or isinstance(decl.body, AbstractBody):
+                if isinstance(ty, TVar):
+                    comp = VarComponent(ty.name)
                 else:
-                    name = ty.name
-                    if trace is not cur:
-                        _retrace(active, cur, trace)
-                        cur = trace
-                    if name in active:
-                        self.cycle = Cycle(name, _trace_names(trace))
-                        return
-                    if not decl.params:
-                        entry = memo.get(name)
-                        if entry is not None and (entry.items is not None or not building):
-                            if building:
-                                if open_:
-                                    _record(open_[-1], where, entry)
-                                yield from self._walk(entry, where)
-                                building = self.building
-                            continue
-                        entry = _Entry(name, where, [] if building else None)
-                        open_.append(entry)
-                        stack.append(entry)
-                    cur = (trace, name, trace[2] + 1 if trace else 1)
-                    active.add(name)
-                    sub = {p: (a, bind, trace) for p, a in zip(decl.params, ty.args)}
-                    if isinstance(decl.body, AbbrevBody):
-                        stack.append((decl.body.body, sub, cur, (where, (name, None))))
+                    args = tuple(_plain(a, bind) for a in ty.args)
+                    comp = (PrimComponent(ty.name, args) if decl is None
+                            else OpaqueComponent(ty.name, args, decl.body.shape))
+            else:
+                name = ty.name
+                if decl.params:
+                    sub = {p: (a, bind) for p, a in zip(decl.params, ty.args)}
+                else:
+                    items = memo.get(name)
+                    if items is not None:
+                        if open_:
+                            base, out = open_[-1]
+                            out.extend((_path(where, base, path), c) for path, c in items)
+                        for path, comp in items:
+                            yield comp, where if path is None else (where, path)
                         continue
-                    for c in reversed(decl.body.ctors):
-                        if c.unboxed:
-                            stack.append((c.arg_types[0], sub, cur, (where, (c.name, None))))
-                        elif building:
-                            fields = tuple(_plain(f, sub) for f in c.arg_types)
-                            stack.append((CtorComponent(c.name, fields, name, c.constant, c.index),
-                                          where))
+                    sub = _NO_BINDINGS
+                    open_.append((where, []))
+                    stack.append(name)
+                if isinstance(decl.body, AbbrevBody):
+                    stack.append((decl.body.body, sub, (where, (name, None))))
                     continue
-            if building:
-                if open_:
-                    entry = open_[-1]
-                    entry.items.append((None if where is entry.base else
-                                        _path(where, entry.base, None), comp))
-                yield comp, where
-                building = self.building
+                for c in reversed(decl.body.ctors):
+                    if c.unboxed:
+                        stack.append((c.arg_types[0], sub, (where, (c.name, None))))
+                    else:
+                        fields = tuple(_plain(f, sub) for f in c.arg_types)
+                        stack.append((CtorComponent(c.name, fields, name, c.constant, c.index),
+                                      where))
+                continue
+        if open_:
+            base, items = open_[-1]
+            items.append((None if where is base else _path(where, base, None), comp))
+        yield comp, where
 
 
 def normalize_type(ty: TypeExpr, decls: Sequence[Decl], prims: PrimTable | None = None) -> SumNF | Cycle:
     """Unfold a type into its sum normal form, or report the blocking cycle."""
-    unfolding = _Unfolding(ty, {d.name: d for d in decls}, {})
-    components = tuple(c if where is None else replace(c, via=_via(where))
-                       for c, where in unfolding)
-    return unfolding.cycle or SumNF(components)
+    env = {d.name: d for d in decls}
+    return _cycle(ty, env, set()) or SumNF(tuple(
+        c if where is None else replace(c, via=_via(where))
+        for c, where in _components(ty, env, {})))
 
 
 def _disjoint_union(pairs, ctx: ShapeContext, by_first: dict | None = None) -> HeadShape | ConflictWitness | Cycle:
     """Disjointly union the shapes of `(component, where)` pairs, stopping at
-    the first conflict. With `by_first`, also collect the shapes per first
-    `via` label."""
+    the first conflict; with `by_first`, also collect the shapes per first
+    `via` label. Overlap distributes over union, so each shape is tested
+    against the union so far, and only on a conflict are earlier ones searched."""
     done: list = []
     acc = EMPTY_SHAPE
     for comp, where in pairs:
         s = component_shape(comp, ctx)
         if not isinstance(s, HeadShape):
             return s
-        for prev, prev_where, prev_s in done:
-            w = shape_disjoint_union(prev_s, s)
-            if isinstance(w, ConflictWitness):
-                return ConflictWitness(
-                    w.side, w.value,
-                    describe_component(prev, _via(prev_where) + prev.via),
-                    describe_component(comp, _via(where) + comp.via))
+        union = shape_disjoint_union(acc, s)
+        if isinstance(union, ConflictWitness):
+            for prev, prev_where, prev_s in done:
+                w = shape_disjoint_union(prev_s, s)
+                if isinstance(w, ConflictWitness):
+                    return ConflictWitness(
+                        w.side, w.value,
+                        describe_component(prev, _via(prev_where) + prev.via),
+                        describe_component(comp, _via(where) + comp.via))
         done.append((comp, where, s))
-        acc = shape_union(acc, s)
+        acc = union
         if by_first is not None:
             by_first.setdefault(_first(where), []).append(s)
     return acc
@@ -761,38 +735,31 @@ def shape_of_snf(snf: SumNF, ctx: ShapeContext) -> HeadShape | ConflictWitness |
     return _disjoint_union(((c, None) for c in snf.components), ctx)
 
 
-def _union_of(ty: TypeExpr, env: Mapping[str, Decl], memo: dict, prims: PrimTable,
+def _union_of(ty: TypeExpr, env: Mapping[str, Decl], free: set[str], memo: dict, prims: PrimTable,
               seen: frozenset, by_first: dict | None = None) -> HeadShape | ConflictWitness | Cycle:
     """`shape_of_snf` over the unfolding of `ty` as it streams. A cycle
     anywhere in the unfolding takes precedence over a conflict and over what
-    a lazy-like argument gives, so the unfolding is finished for cycles
-    after the union stops, and before any lazy-like argument is resolved."""
-    unfolding = _Unfolding(ty, env, memo)
-    ctx = ShapeContext(prims, lambda t: unfolding.settle() or _shape(t, env, memo, prims, seen))
-    try:
-        result = _disjoint_union(unfolding, ctx, by_first)
-    except UnknownPrimitiveError:  # a table without a primitive of the declarations
-        if unfolding.finish() is None:
-            raise
-        return unfolding.cycle
-    return unfolding.finish() or result
+    a lazy-like argument gives, so the unfolding is walked for cycles first."""
+    return _cycle(ty, env, free) or _disjoint_union(
+        _components(ty, env, memo),
+        ShapeContext(prims, lambda t: _shape(t, env, free, memo, prims, seen)), by_first)
 
 
-def _shape(ty: TypeExpr, env: Mapping[str, Decl], memo: dict, prims: PrimTable,
+def _shape(ty: TypeExpr, env: Mapping[str, Decl], free: set[str], memo: dict, prims: PrimTable,
            seen: frozenset) -> HeadShape | ConflictWitness | Cycle:
-    key = _spelling(ty)
+    key = render_type(ty, "#")  # a text: dataclass hashing recurses per nesting level
     if key in seen:
         return TOP_SHAPE  # shape-level recursion through a lazy-like argument
     if len(seen) >= _LAZY_NESTING_LIMIT:
         raise LazyNestingError(
             f"lazy-like arguments nest more than {_LAZY_NESTING_LIMIT} levels deep")
-    return _union_of(ty, env, memo, prims, seen | {key})
+    return _union_of(ty, env, free, memo, prims, seen | {key})
 
 
 def shape_of_type(ty: TypeExpr, decls: Sequence[Decl], prims: PrimTable | None = None) -> HeadShape | ConflictWitness | Cycle:
     if prims is None:
         prims = default_prim_table()
-    return _shape(ty, {d.name: d for d in decls}, {}, prims, frozenset())
+    return _shape(ty, {d.name: d for d in decls}, set(), {}, prims, frozenset())
 
 
 # ---------------------------------------------------------------------------
@@ -833,11 +800,13 @@ def check_decls(decls: Sequence[Decl], prims: PrimTable | None = None) -> list[C
     if prims is None:
         prims = default_prim_table()
     env = {d.name: d for d in decls}
-    memo: dict[str, _Entry] = {}
-    return [_check_one(d, env, memo, prims) for d in decls]
+    free: set[str] = set()
+    memo: dict[str, list] = {}
+    return [_check_one(d, env, free, memo, prims) for d in decls]
 
 
-def _check_one(d: Decl, env: Mapping[str, Decl], memo: dict, prims: PrimTable) -> CheckReport:
+def _check_one(d: Decl, env: Mapping[str, Decl], free: set[str], memo: dict,
+               prims: PrimTable) -> CheckReport:
     if isinstance(d.body, AbstractBody):
         return Accepted(d.name, d.body.shape, ())
     # An unboxed constructor's argument unfolds on its own to the components
@@ -845,7 +814,7 @@ def _check_one(d: Decl, env: Mapping[str, Decl], memo: dict, prims: PrimTable) -
     # subset of their traces, so it blocks nowhere they did not.
     unboxed = [c.name for c in d.body.ctors if c.unboxed] if isinstance(d.body, VariantBody) else []
     by_first: dict | None = {} if unboxed else None
-    sw = _union_of(self_application(d), env, memo, prims, frozenset(), by_first)
+    sw = _union_of(self_application(d), env, free, memo, prims, frozenset(), by_first)
     if isinstance(sw, Cycle):
         return RejectedCycle(d.name, sw.name, sw.trace, sw.path)
     if isinstance(sw, ConflictWitness):

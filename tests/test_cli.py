@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from shapecheck import cli, cppmacro, oracle
+from shapecheck import cli, cppmacro, decls, oracle
 from shapecheck import fixtures as F
 
 
@@ -89,6 +89,14 @@ class TestCheck:
         _, first = run(capsys, ["check", path])
         _, second = run(capsys, ["check", path])
         assert first == second
+
+    def test_unfold_limit_is_an_input_error(self, tmp_path, capsys, monkeypatch):
+        # u unfolds in 2^11 + 1 steps
+        monkeypatch.setattr(decls, "_UNFOLD_LIMIT", 1000)
+        path = write(tmp_path, "two.decl", "type 'a two = L of 'a [@unboxed] | R of 'a [@unboxed]\n"
+                     "type u = U of int" + " two" * 10 + " [@unboxed]\n")
+        assert cli.main(["check", path]) == 2
+        assert capsys.readouterr().err == "shapecheck: error: more than 1000 unfolding steps\n"
 
 
 class TestNorm:

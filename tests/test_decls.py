@@ -254,6 +254,12 @@ class TestDeepTypes:
             D.parse_decls(BOX + arg)
         assert str(caught.value) == message
 
+    def test_render_type_round_trips_at_depth_ten_thousand(self):
+        ds = D.parse_decls(BOX + "int" + " box" * DEPTH + " [@unboxed]\n")
+        text = render_decls(ds)
+        assert text.endswith(" = | U of " + "(" * DEPTH + "int" + ") box" * DEPTH + " [@unboxed]\n")
+        assert render_decls(D.parse_decls(text)) == text
+
 
 class TestShapeOfSnf:
     def ctx(self, ds):
@@ -388,6 +394,13 @@ def abbrev_chain_text(n):
         f"type u = U of a{n} [@unboxed] | V of string [@unboxed]\n")
 
 
+def two_tower(base, n):
+    """u = U of base two...two, n times: 2^n components of `base`, in an
+    unfolding of 2^(n+1) + 1 steps."""
+    return ("type 'a two = L of 'a [@unboxed] | R of 'a [@unboxed]\n"
+            f"type u = U of {base}" + " two" * n + " [@unboxed]\n")
+
+
 def timed_check(text):
     ds = D.parse_decls(text)
     start = time.perf_counter()
@@ -429,6 +442,27 @@ class TestSharedUnfolding:
             "constructor A0 (via " + " -> ".join([f"L{i}" for i in range(30, 1, -1)] + ["R1"]) + ")")
         assert seconds < 2.0  # about 6 ms on a 2-core host
 
+    def test_empty_shape_components_are_unioned_in_linear_time(self):
+        # 4,096 components that never overlap: each is tested once against the union
+        reports, seconds = timed_check("type e [@shape (imm: {}; block: {})]\n" + two_tower("e", 12))
+        assert reports[2] == D.Accepted("u", S.EMPTY_SHAPE, (("U", S.EMPTY_SHAPE),))
+        assert seconds < 2.0  # about 0.15 s on a 2-core host
+
+    def test_unfold_limit_counts_every_step(self, monkeypatch):
+        ds = D.parse_decls(two_tower("int", 3))  # 2^4 + 1 steps for u
+        monkeypatch.setattr(D, "_UNFOLD_LIMIT", 17)
+        assert isinstance(D.check_decls(ds)[1], D.RejectedConflict)
+        monkeypatch.setattr(D, "_UNFOLD_LIMIT", 16)
+        with pytest.raises(D.UnfoldBudgetError, match="^more than 16 unfolding steps$"):
+            D.check_decls(ds)
+        chain = swap_chain(1500)  # one step per link
+        top = D.TyApp("c1499", (D.PrimApp("int"), D.PrimApp("string")))
+        monkeypatch.setattr(D, "_UNFOLD_LIMIT", 1500)
+        assert isinstance(D.normalize_type(top, chain), D.SumNF)
+        monkeypatch.setattr(D, "_UNFOLD_LIMIT", 1499)
+        with pytest.raises(D.UnfoldBudgetError):
+            D.normalize_type(top, chain)
+
     @pytest.mark.parametrize("reverse", [False, True])
     def test_abbreviation_chain_unfolds_each_link_once(self, reverse):
         lines = abbrev_chain_text(1500).splitlines(keepends=True)
@@ -453,6 +487,18 @@ class TestSharedUnfolding:
                 assert cli.main(["check", "--json", *names]) == 1
             digest.update(out.getvalue().encode())
         assert digest.hexdigest() == "809537c0581375c81e1fe31e7590f43638c7e498"
+
+    def test_normalize_type_output_is_pinned(self):
+        # SHA-1 of the normal form of every self-application, `via`s included,
+        # recorded before the unfolding was split into a cycle and a component walk
+        digest = hashlib.sha1()
+        files = [D.parse_decls(text) for text in F.CHECK_CORPUS]
+        for seed in range(5):
+            files += O.gen_decls(seed, O.GenParams(count=1000))
+        for ds in files:
+            for d in ds:
+                digest.update(repr(D.normalize_type(D.self_application(d), ds)).encode() + b"\n")
+        assert digest.hexdigest() == "2d453a1090e1fba06a32de17794922cd54a23714"
 
 
 class TestMatchPlan:
