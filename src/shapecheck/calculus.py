@@ -8,8 +8,11 @@ values here can be shared freely between threads.
 
 `normalize` takes the strategy-first step on a focus machine (a zipper)
 that goes on from the last rewrite, so its work is linear in the steps it
-takes. The tests hold it, step by step, to a reference that searches the
-whole term for that redex again (`reference_step` in tests/test_calculus.py).
+takes. One search loop serves both strategies: leftmost-outermost tests a
+node on the way down (preorder), leftmost-innermost on the way up
+(postorder). The tests hold it, step by step, to a reference that searches
+the whole term for that redex again (`reference_step` in
+tests/test_calculus.py).
 """
 from __future__ import annotations
 
@@ -127,45 +130,38 @@ def _validate(program: Program) -> None:
     _validate_term(program.root, arities, set(), program.mode)
 
 
-def _postorder(term: Term) -> list[tuple[Term, bool]]:
-    out: list[tuple[Term, bool]] = []
-    stack: list[tuple[Term, bool, bool]] = [(term, False, False)]
-    while stack:
-        t, is_head, expanded = stack.pop()
-        if expanded or isinstance(t, Var):
-            out.append((t, is_head))
-            continue
-        stack.append((t, is_head, True))
-        stack.append((t.head, True, False))
-        for child in reversed(t.args):
-            stack.append((child, False, False))
-    return out
-
-
 def _validate_term(term: Term, arities: Mapping[str, int], params: set[str], mode: Mode) -> None:
-    first_order = mode is Mode.FIRST_ORDER
-    for t, is_head in _postorder(term):
-        if isinstance(t, Var):
-            if first_order and not is_head and t.name in arities:
+    """Check a first-order term in postorder on an explicit stack: the
+    arguments, then the head, then the node; the first error met is raised.
+    A closed higher-order term may apply and pass anything."""
+    if mode is not Mode.FIRST_ORDER:
+        return
+    stack: list = [term]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, Var):  # a name as a head is never popped
+            if t.name in arities:
                 raise ArityMismatchError(
                     f"{t.name!r} expects {arities[t.name]} argument(s), got a bare occurrence"
                 )
-            continue
-        head = t.head
-        if not isinstance(head, Var):
-            if first_order:
+        elif isinstance(t, App):
+            stack.append((t,))  # the node itself, tested after its children
+            if not isinstance(t.head, Var):
+                stack.append(t.head)
+            stack.extend(reversed(t.args))
+        else:
+            (t,) = t
+            head = t.head
+            if not isinstance(head, Var):
+                raise MalformedProgramError("application head must be a name in first-order mode")
+            if head.name in params:
                 raise MalformedProgramError(
-                    "application head must be a name in first-order mode"
+                    f"parameter {head.name!r} cannot be applied in first-order mode"
                 )
-            continue
-        if first_order and head.name in params:
-            raise MalformedProgramError(
-                f"parameter {head.name!r} cannot be applied in first-order mode"
-            )
-        if first_order and head.name in arities and len(t.args) != arities[head.name]:
-            raise ArityMismatchError(
-                f"{head.name!r} expects {arities[head.name]} argument(s), got {len(t.args)}"
-            )
+            if head.name in arities and len(t.args) != arities[head.name]:
+                raise ArityMismatchError(
+                    f"{head.name!r} expects {arities[head.name]} argument(s), got {len(t.args)}"
+                )
 
 
 def annotate(term: Term, subst: Mapping[str, AnnTerm], trace: Trace) -> AnnTerm:
@@ -275,13 +271,12 @@ def normalize(
     only; `on_step` is invoked after each reduction with the terms before
     and after.
 
-    Resumes at the last rewrite instead of searching the whole term again
-    (see `_Focus`); the test reference `reference_step` does search it again.
+    Both strategies run the one search loop `_Focus.run`, which resumes
+    at the last rewrite instead of searching the whole term again; the test
+    reference `reference_step` does search it again. A name in `frozen`
+    that no definition binds is opaque: its arguments are not searched.
     """
-    machine = _Focus(program, frozen, max_steps, on_step)
-    if strategy is Strategy.LEFTMOST_OUTERMOST:
-        return machine.outermost()
-    return machine.innermost()
+    return _Focus(program, frozen, max_steps, on_step).run(strategy is Strategy.LEFTMOST_OUTERMOST)
 
 
 class _Focus:
@@ -299,7 +294,7 @@ class _Focus:
     def __init__(self, program: Program, frozen: frozenset[str],
                  max_steps: int | None, on_step: OnStep | None):
         self.defs = program.def_map
-        self.frozen = frozen
+        self.opaque = frozen - self.defs.keys()  # names whose arguments are not searched
         self.max_steps = max_steps
         self.on_step = on_step
         self.frames: list[list] = []
@@ -307,81 +302,54 @@ class _Focus:
         self.focus: AnnTerm = annotate(program.root, {}, ())
         self.term = self.focus  # the whole term after the last step, for on_step
 
-    def outermost(self) -> Outcome:
-        """Preorder search. A rewrite leaves every node before the focus
-        unchanged, and whether a node is a redex depends only on its own
-        head, so the search goes on at the new body. Only a rewrite of a
-        head changes a node before it: its parent, examined again."""
-        defs, frames = self.defs, self.frames
+    def run(self, outermost: bool) -> Outcome:
+        """Search in preorder when `outermost`, else in postorder.
+
+        Outermost tests a node on the way down. A rewrite leaves every node
+        before the focus unchanged, and whether a node is a redex depends
+        only on its own head, so the search goes on at the new body; only a
+        rewrite of a head changes a node before it: its parent, tested again.
+        Innermost tests a node once its children are done. The arguments of
+        a redex lie before it, so they hold no redex; after the rewrite they
+        are passed over wherever they occur."""
+        defs, frames, opaque = self.defs, self.frames, self.opaque
+        normal: dict[int, AnnTerm] = {}  # the last redex's arguments by id, kept alive
         while True:
             node = self.focus
-            if isinstance(node, AnnApp):
+            if isinstance(node, AnnApp) and id(node) not in normal:
                 head = node.head
                 if not isinstance(head, Var):
                     frames.append([node, [head, *node.args], 0, False])
                     self.focus = head
                     continue
-                d = defs.get(head.name)
+                d = defs.get(head.name) if outermost else None
                 if d is not None and len(node.args) == len(d.params):
-                    if head.name in node.trace:
-                        return self._blocked(node)
-                    self._rewrite(node, d)
+                    if refused := self._rewrite(node, d):
+                        return refused
                     if frames and frames[-1][2] == 0:
                         self._up()
                     continue
-                if node.args and not self._opaque(head.name):
+                if node.args and head.name not in opaque:
                     frames.append([node, [head, *node.args], 1, False])
                     self.focus = node.args[0]
                     continue
-            # no redex at or below the focus: on to the next subterm in preorder
-            while frames and not self._next():
-                self._up()
-            if not frames:
-                return Normal(erase(self.focus), self.steps)
-
-    def innermost(self) -> Outcome:
-        """Postorder search: a node is examined once its children are done.
-        The arguments of a redex lie before it, so they hold no redex; after
-        the rewrite only the nodes built from the definition body are
-        searched, and the arguments, wherever they occur, are passed over."""
-        defs, frames = self.defs, self.frames
-        normal: tuple = ()  # the last redex's arguments, kept alive for their ids
-        normal_ids: set[int] = set()
-        while True:
-            node = self.focus
-            if isinstance(node, AnnApp) and id(node) not in normal_ids:
-                head = node.head
-                if not isinstance(head, Var):
-                    frames.append([node, [head, *node.args], 0, False])
-                    self.focus = head
-                    continue
-                if node.args and not self._opaque(head.name):
-                    frames.append([node, [head, *node.args], 1, False])
-                    self.focus = node.args[0]
-                    continue
-            # the focus is searched through: examine it, then move on in postorder
-            while True:
+            while True:  # the focus is searched through: innermost tests it; then on in order
                 node = self.focus
-                if isinstance(node, AnnApp) and isinstance(node.head, Var):
+                if not outermost and isinstance(node, AnnApp) and isinstance(node.head, Var):
                     d = defs.get(node.head.name)
                     if d is not None and len(node.args) == len(d.params):
-                        if d.name in node.trace:
-                            return self._blocked(node)
-                        normal = node.args
-                        normal_ids = {id(a) for a in normal}
-                        self._rewrite(node, d)
+                        normal = {id(a): a for a in node.args}
+                        if refused := self._rewrite(node, d):
+                            return refused
                         break
                 if not frames:
                     return Normal(erase(self.focus), self.steps)
-                if frames[-1][2] == 0 and isinstance(node, Var) and self._opaque(node.name):
+                if frames[-1][2] == 0 and isinstance(node, Var) and node.name in opaque:
                     self._up()  # the head became an opaque name: the arguments are not searched
                 elif self._next():
                     break
                 else:
                     self._up()
-
-    def _opaque(self, name: str) -> bool:
-        return name in self.frozen and name not in self.defs
 
     def _store(self) -> list:
         """Write the focus back into the innermost frame; return the frame."""
@@ -409,8 +377,11 @@ class _Focus:
         self.frames.pop()
         self.focus = AnnApp(kids[0], tuple(kids[1:]), node.trace) if changed else node
 
-    def _rewrite(self, node: AnnApp, d: Definition) -> None:
-        """Replace the redex in focus by its annotated body."""
+    def _rewrite(self, node: AnnApp, d: Definition) -> Diverges | None:
+        """Replace the redex in focus by its annotated body, unless its own
+        name is on its trace: then the monitor refuses it, and the run ends."""
+        if d.name in node.trace:
+            return Diverges(Blocked(self._path(), d.name, node.trace), self.steps)
         self.steps += 1
         if self.max_steps is not None and self.steps > self.max_steps:
             raise MalformedProgramError(f"step limit {self.max_steps} exceeded")
@@ -421,12 +392,10 @@ class _Focus:
             after = replace_at(self.term, path, self.focus)
             self.on_step(self.term, after, Reduced(path, d.name))
             self.term = after
+        return None
 
     def _path(self) -> Path:
         return tuple(f[2] for f in self.frames)
-
-    def _blocked(self, node: AnnApp) -> Diverges:
-        return Diverges(Blocked(self._path(), node.head.name, node.trace), self.steps)
 
 
 # ---------------------------------------------------------------------------

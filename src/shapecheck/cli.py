@@ -100,31 +100,32 @@ def _cmd_norm(args) -> int:
     def report(path, text):
         program = calculus.parse_program(text, mode)
         lines: list[str] = []
+        # --json prints no per-step line, so it renders no term and no measure
+        trace = args.trace and not args.json
+        show_measure = args.check_measure and not args.json
         measure_ok = True
 
         def on_step(before, after, info):
             nonlocal measure_ok
-            if args.trace:
+            if trace:
                 lines.append(f"step {info.name}: {calculus.render_ann_term(after, mode)}")
-            if args.check_measure:
+            if show_measure:
                 lines.append(f"  measure: {measure.render_tree_measure(measure.tree_measure(after, mode))}")
-                if not measure.assert_decrease(before, after, mode):
-                    measure_ok = False
+            if args.check_measure and not measure.assert_decrease(before, after, mode):
+                measure_ok = False
 
-        if args.trace:
+        if trace:
             start = calculus.annotate(program.root, {}, ())
             lines.append(f"start: {calculus.render_ann_term(start, mode)}")
-            if args.check_measure:
+            if show_measure:
                 lines.append(f"  measure: {measure.render_tree_measure(measure.tree_measure(start, mode))}")
-        hook = on_step if (args.trace or args.check_measure) else None
+        hook = on_step if (trace or args.check_measure) else None
         outcome = calculus.normalize(program, strategy, max_steps=args.max_steps, on_step=hook)
         code = 0
         if isinstance(outcome, calculus.Normal):
-            verdict = {"verdict": "normal",
-                       "normal_form": calculus.render_term(outcome.term, mode),
-                       "steps": outcome.steps}
-            text_out = [f"normal form: {calculus.render_term(outcome.term, mode)}",
-                        f"steps: {outcome.steps}"]
+            normal_form = calculus.render_term(outcome.term, mode)
+            verdict = {"verdict": "normal", "normal_form": normal_form, "steps": outcome.steps}
+            text_out = [f"normal form: {normal_form}", f"steps: {outcome.steps}"]
         else:
             w = outcome.witness
             verdict = {"verdict": "diverges",

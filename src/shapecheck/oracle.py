@@ -822,21 +822,18 @@ def _check_traces(term: calculus.AnnTerm, defs: Mapping[str, Definition]) -> str
     return None
 
 
-def run_measure_suite(seed: int = 2024, count: int = 500,
-                      modes: Sequence[Mode] = (Mode.FIRST_ORDER, Mode.CLOSED_HIGHER_ORDER),
-                      strategies: Sequence[Strategy] = (Strategy.LEFTMOST_OUTERMOST,
-                                                        Strategy.LEFTMOST_INNERMOST)) -> SuiteResult:
+def run_measure_suite(seed: int = 2024, count: int = 500) -> SuiteResult:
     """Every monitored reduction step must strictly decrease the tree
     measure, keep traces valid, and be the plain step of the same strategy:
-    same path, same name, same term before it."""
+    same path, same name, same term before it. `count` programs are split
+    between the two modes, and each runs under both strategies."""
     from . import measure
 
     result = SuiteResult("measure decrease", 0)
-    per_mode = max(1, count // len(modes))
-    for mi, mode in enumerate(modes):
-        programs = gen_programs(seed + mi, GenParams(count=per_mode, mode=mode))
+    for mi, mode in enumerate(Mode):
+        programs = gen_programs(seed + mi, GenParams(count=max(1, count // len(Mode)), mode=mode))
         for pi, program in enumerate(programs):
-            for strategy in strategies:
+            for strategy in Strategy:
                 log: list = []
 
                 def on_step(before, after, info, _p=program, _pi=pi, _mode=mode, _log=log):

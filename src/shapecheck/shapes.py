@@ -106,15 +106,14 @@ class ConflictWitness:
         return f"{kind} heads overlap ({what}): {self.left_origin} vs {self.right_origin}"
 
 
-def shape_disjoint_union(
-    a: HeadShape, b: HeadShape, left_origin: str = "left", right_origin: str = "right"
-) -> HeadShape | ConflictWitness:
+def shape_disjoint_union(a: HeadShape, b: HeadShape) -> HeadShape | ConflictWitness:
     """Union when the two denotations are disjoint, else a witness naming
-    one overlapping head. The conflict is a value, not an exception."""
+    one overlapping head, from the "left" and "right" shapes. The conflict
+    is a value, not an exception."""
     for side in ("imm", "block"):
         w = _sub_overlap(getattr(a, side), getattr(b, side))
         if w != "disjoint":
-            return ConflictWitness(side, w, left_origin, right_origin)
+            return ConflictWitness(side, w, "left", "right")
     return shape_union(a, b)
 
 
@@ -295,11 +294,8 @@ class OpaqueComponent:
 Component = VarComponent | CtorComponent | PrimComponent | OpaqueComponent
 
 
-def describe_component(comp: Component, via: tuple[str, ...] | None = None) -> str:
-    """The component as a conflict witness names it; `via`, when given,
-    stands for the component's own."""
-    if via is None:
-        via = comp.via
+def describe_component(comp: Component, via: tuple[str, ...]) -> str:
+    """The component as a conflict witness names it, reached through `via`."""
     if isinstance(comp, VarComponent):
         base = f"type parameter '{comp.name}"
     elif isinstance(comp, CtorComponent):

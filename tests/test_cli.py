@@ -1,8 +1,9 @@
+import hashlib
 import json
 
 import pytest
 
-from shapecheck import cli, cppmacro, decls, oracle
+from shapecheck import calculus, cli, cppmacro, decls, measure, oracle
 from shapecheck import fixtures as F
 
 
@@ -148,6 +149,21 @@ class TestNorm:
         assert doc["steps"] == 1
         assert doc["measure_ok"] is True
 
+    def test_json_renders_no_step(self, tmp_path, capsys, monkeypatch):
+        path = write(tmp_path, "id.lam", F.ID_LAM)
+        argv = ["norm", "--trace", "--check-measure", "--json", path]
+        expected = run(capsys, argv)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("rendered under --json")
+
+        monkeypatch.setattr(calculus, "render_ann_term", refuse)
+        monkeypatch.setattr(measure, "render_tree_measure", refuse)
+        assert run(capsys, argv) == expected
+        assert expected == (0, json.dumps({"schema": 1, "file": path, "verdict": "normal",
+                                           "normal_form": "int", "steps": 2,
+                                           "measure_ok": True}) + "\n")
+
     def test_max_steps_guard(self, tmp_path, capsys):
         path = write(tmp_path, "id.lam", F.ID_LAM)
         assert cli.main(["norm", "--max-steps", "1", path]) == 2
@@ -168,6 +184,25 @@ class TestNorm:
         path = write(tmp_path, "expo10.lam", "let rec " + "\nand ".join(defs) + "\nin f10(k)\n")
         code, out = run(capsys, ["norm", path])
         assert (code, out) == (0, f"normal form: {'c(' * 1024}k{')' * 1024}\nsteps: 2047\n")
+
+    def test_trace_and_measure_output_is_pinned(self, tmp_path, capsys):
+        # SHA-1 of stdout and exit code of `norm --trace --check-measure`,
+        # recorded before the two strategies' searches became one loop
+        first, higher = calculus.Mode.FIRST_ORDER, calculus.Mode.CLOSED_HIGHER_ORDER
+        inputs = [(F.ID_LAM, first), (F.LOOP_LAM, first), (F.NIL_LAM, higher),
+                  (F.ACHAIN_LAM, higher), (F.DELTA_LAM, higher), (F.FSTOP_LAM, higher)]
+        for mode in (first, higher):
+            programs = oracle.gen_programs(0, oracle.GenParams(count=100, mode=mode))
+            inputs += [(calculus.render_program(p), mode) for p in programs]
+        digest = hashlib.sha1()
+        for i, (text, mode) in enumerate(inputs):
+            path = write(tmp_path, f"p{i}.lam", text)
+            flags = ["--higher-order"] if mode is higher else []
+            for strategy in ("outermost", "innermost"):
+                code, out = run(capsys, ["norm", "--trace", "--check-measure",
+                                         "--strategy", strategy, *flags, path])
+                digest.update(f"{out}exit {code}\n".encode())
+        assert digest.hexdigest() == "140159c0ae760b52032c0957f3225b8e1d563b8b"
 
     def test_multiple_files_emitted_in_input_order(self, tmp_path, capsys):
         a = write(tmp_path, "id.lam", F.ID_LAM)

@@ -58,8 +58,8 @@ class TestDisjointUnion:
         assert S.shape_disjoint_union(shape({0}, ()), shape({1}, ())) == shape({0, 1}, ())
 
     def test_witness_names_a_shared_value(self):
-        w = S.shape_disjoint_union(shape({3, 7}, ()), shape({7, 9}, ()), "a", "b")
-        assert w == S.ConflictWitness("imm", 7, "a", "b")
+        w = S.shape_disjoint_union(shape({3, 7}, ()), shape({7, 9}, ()))
+        assert w == S.ConflictWitness("imm", 7, "left", "right")
 
     def test_block_side_checked_after_imm(self):
         w = S.shape_disjoint_union(shape((), {2}), shape((), {2}))
