@@ -3,8 +3,11 @@
 Every function call carries a trace: the list of definitions whose expansion
 produced it. A call whose own name already occurs in its trace is refused
 (a "blocked redex"), which is what lets normalization report divergence in
-finite time instead of looping. Terms and programs are immutable, so all
-values here can be shared freely between threads.
+finite time instead of looping. A trace is a shared linked node, extended
+by one node per expansion and never copied; `TraceMonitor` tests a name
+against it in O(1) per move of the search, and `trace_names` spells it.
+The type unfolder in `decls` runs the same monitor. Terms and programs are
+immutable, so all values here can be shared freely between threads.
 
 `normalize` takes the strategy-first step on a focus machine (a zipper)
 that goes on from the last rewrite, so its work is linear in the steps it
@@ -54,7 +57,7 @@ class MalformedProgramError(LamError):
     pass
 
 
-Trace = tuple[str, ...]
+Trace = tuple | None  # a linked node `(parent, name, depth)`; None is the empty trace
 Path = tuple[int, ...]
 
 
@@ -237,7 +240,7 @@ class Reduced:
 class Blocked:
     path: Path
     name: str
-    trace: Trace
+    trace: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -299,7 +302,8 @@ class _Focus:
         self.on_step = on_step
         self.frames: list[list] = []
         self.steps = 0
-        self.focus: AnnTerm = annotate(program.root, {}, ())
+        self.monitor = TraceMonitor()
+        self.focus: AnnTerm = annotate(program.root, {}, None)
         self.term = self.focus  # the whole term after the last step, for on_step
 
     def run(self, outermost: bool) -> Outcome:
@@ -380,12 +384,13 @@ class _Focus:
     def _rewrite(self, node: AnnApp, d: Definition) -> Diverges | None:
         """Replace the redex in focus by its annotated body, unless its own
         name is on its trace: then the monitor refuses it, and the run ends."""
-        if d.name in node.trace:
-            return Diverges(Blocked(self._path(), d.name, node.trace), self.steps)
+        trace = self.monitor.enter(node.trace, d.name)
+        if trace is None:
+            return Diverges(Blocked(self._path(), d.name, trace_names(node.trace)), self.steps)
         self.steps += 1
         if self.max_steps is not None and self.steps > self.max_steps:
             raise MalformedProgramError(f"step limit {self.max_steps} exceeded")
-        self.focus = annotate(d.body, dict(zip(d.params, node.args)), node.trace + (d.name,))
+        self.focus = annotate(d.body, dict(zip(d.params, node.args)), trace)
         if self.on_step is not None:
             # the term changes only at the focus between two steps
             path = self._path()
@@ -396,6 +401,55 @@ class _Focus:
 
     def _path(self) -> Path:
         return tuple(f[2] for f in self.frames)
+
+
+# ---------------------------------------------------------------------------
+# The trace monitor, which the type unfolder in `decls` runs as well
+
+
+def trace_names(trace: Trace) -> tuple[str, ...]:
+    """The names on `trace`, the first expansion first."""
+    names = []
+    while trace is not None:
+        names.append(trace[1])
+        trace = trace[0]
+    return tuple(reversed(names))
+
+
+class TraceMonitor:
+    """The monitor of one walk: it refuses a name already on its trace.
+
+    `names` holds the names on `cur`, the trace last entered. A test on
+    another trace first moves `names` there along the trace tree: O(1) to
+    a child or a sibling of the last expansion, at most the two depths.
+    A trace never repeats a name, so leaving a node discards its name."""
+
+    __slots__ = ("names", "cur")
+
+    def __init__(self) -> None:
+        self.names: set[str] = set()
+        self.cur: Trace = None
+
+    def enter(self, trace: Trace, name: str) -> Trace:
+        """`trace` extended by `name`, or None when `name` is on it."""
+        cur, names = self.cur, self.names
+        if cur is not trace:
+            entered = []
+            node = trace
+            while cur is not node:
+                if node is None or (cur is not None and cur[2] >= node[2]):
+                    names.discard(cur[1])
+                    cur = cur[0]
+                else:
+                    entered.append(node[1])
+                    node = node[0]
+            names.update(entered)
+        if name in names:
+            self.cur = trace
+            return None
+        names.add(name)
+        self.cur = (trace, name, trace[2] + 1 if trace else 1)
+        return self.cur
 
 
 # ---------------------------------------------------------------------------
@@ -538,7 +592,7 @@ def render_term(term: Term, mode: Mode = Mode.FIRST_ORDER) -> str:
 
 def render_ann_term(term: AnnTerm, mode: Mode = Mode.FIRST_ORDER) -> str:
     def layout(t: AnnApp) -> list:
-        trace = f"[{','.join(t.trace)}]"
+        trace = f"[{','.join(trace_names(t.trace))}]"
         if mode is not Mode.FIRST_ORDER:
             return [t.head, *_arg_list(t.args), trace]
         return [t.head, trace, *_arg_list(t.args)] if t.args else [t.head, trace]

@@ -467,20 +467,14 @@ class LazyNestingError(DeclError):
     pass
 
 
-def _subst_type(ty: TypeExpr, sub: Mapping[str, TypeExpr]) -> TypeExpr:
-    if isinstance(ty, TVar):
-        return sub.get(ty.name, ty)
-    args = tuple(_subst_type(a, sub) for a in ty.args)
-    return type(ty)(ty.name, args)
-
-
 # Closures and `via` paths. A closure is a type expression as written in
 # some body with the closures bound to that body's parameters: `(type,
 # bindings)` in the component walk and, in the cycle walk, `(type,
 # bindings, trace)`, the trace being that of the unfoldings that wrote it. A
 # bound parameter stands for its argument's own closure, trace included.
 # Traces and `via` paths are shared linked nodes, never copied per level:
-# - a trace node is `(parent, name, depth)`, None being the empty trace;
+# - a trace is `calculus`'s node `(parent, name, depth)`, None being the
+#   empty trace, and `calculus.TraceMonitor` tests it;
 # - a `where` node is `(parent, path)`, `path` being a linked list
 #   `(label, rest)` of `via` labels in root-first order; None is the empty
 #   `via`.
@@ -509,27 +503,6 @@ def _plain(ty: TypeExpr, bind: Mapping) -> TypeExpr:
         stack.append(((type(ty), ty.name, len(ty.args)), None))
         stack.extend((a, bind) for a in reversed(ty.args))
     return out[0]
-
-
-def _trace_names(node) -> tuple[str, ...]:
-    names = []
-    while node is not None:
-        names.append(node[1])
-        node = node[0]
-    return tuple(reversed(names))
-
-
-def _retrace(active: set, cur, node) -> None:
-    """Move `active` from the names on trace `cur` to those on `node`."""
-    enter = []
-    while cur is not node:
-        if node is None or (cur is not None and cur[2] >= node[2]):
-            active.discard(cur[1])
-            cur = cur[0]
-        else:
-            enter.append(node[1])
-            node = node[0]
-    active.update(enter)
 
 
 def _via(where) -> tuple[str, ...]:
@@ -584,8 +557,7 @@ def _cycle(ty: TypeExpr, env: Mapping[str, Decl], free: set[str]) -> Cycle | Non
     the declaration's own unfolding met such a name, it would have gone on
     to meet the declaration again: a cycle of its own, and the declaration
     would not have joined `free`."""
-    active: set[str] = set()  # the names on trace `cur`
-    cur = None
+    monitor = calculus.TraceMonitor()
     steps, limit = 0, _UNFOLD_LIMIT
     stack: list = [(ty, _NO_BINDINGS, None)]
     while stack:
@@ -603,11 +575,9 @@ def _cycle(ty: TypeExpr, env: Mapping[str, Decl], free: set[str]) -> Cycle | Non
         if decl is None or isinstance(decl.body, AbstractBody):
             continue
         name = ty.name
-        if trace is not cur:
-            _retrace(active, cur, trace)
-            cur = trace
-        if name in active:
-            return Cycle(name, _trace_names(trace))
+        node = monitor.enter(trace, name)
+        if node is None:
+            return Cycle(name, calculus.trace_names(trace))
         if decl.params:
             sub = {p: (a, bind, trace) for p, a in zip(decl.params, ty.args)}
         elif name in free:
@@ -615,14 +585,12 @@ def _cycle(ty: TypeExpr, env: Mapping[str, Decl], free: set[str]) -> Cycle | Non
         else:
             sub = _NO_BINDINGS
             stack.append(name)
-        cur = (trace, name, trace[2] + 1 if trace else 1)
-        active.add(name)
         if isinstance(decl.body, AbbrevBody):
-            stack.append((decl.body.body, sub, cur))
+            stack.append((decl.body.body, sub, node))
             continue
         for c in reversed(decl.body.ctors):
             if c.unboxed:
-                stack.append((c.arg_types[0], sub, cur))
+                stack.append((c.arg_types[0], sub, node))
     return None
 
 
@@ -847,23 +815,40 @@ def match_plan(decl: Decl, ctor_name: str, report: CheckReport) -> HeadShape:
 _RESERVED_HEADS = ("sum", "box", "empty_sum")
 
 
-def _encode_type(ty: TypeExpr, bound: bool = False) -> Term:
-    # inside a definition body type variables are the formal parameters;
-    # elsewhere they are free names, applied so that they carry a trace
-    if isinstance(ty, TVar):
-        return Var(ty.name) if bound else App(Var(ty.name), ())
-    return App(Var(ty.name), tuple(_encode_type(a, bound) for a in ty.args))
+def _encode_types(types: Sequence[TypeExpr], bound: bool) -> list[Term]:
+    """The terms of `types`, in order, built on one explicit stack so that
+    nesting depth costs no recursion. Inside a definition body (`bound`)
+    type variables are the formal parameters; elsewhere they are free
+    names, applied so that they carry a trace."""
+    built: list[Term] = []
+    stack: list = list(reversed(types))
+    while stack:
+        ty = stack.pop()
+        if ty.__class__ is tuple:  # a type whose arguments are built
+            (ty,) = ty
+            n = len(ty.args)
+            node = App(Var(ty.name), tuple(built[-n:]))
+            del built[-n:]
+            built.append(node)
+        elif isinstance(ty, TVar):
+            built.append(Var(ty.name) if bound else App(Var(ty.name), ()))
+        elif ty.args:
+            stack.append((ty,))
+            stack.extend(reversed(ty.args))
+        else:
+            built.append(App(Var(ty.name), ()))
+    return built
 
 
 def _encode_body(body: DeclBody) -> Term:
     if isinstance(body, AbbrevBody):
-        return _encode_type(body.body, bound=True)
+        return _encode_types((body.body,), True)[0]
     cases: list[Term] = []
     for c in body.ctors:
         if c.unboxed:
-            cases.append(_encode_type(c.arg_types[0], bound=True))
+            cases.extend(_encode_types(c.arg_types[:1], True))
         else:
-            cases.append(App(Var("box"), tuple(_encode_type(a, bound=True) for a in c.arg_types)))
+            cases.append(App(Var("box"), tuple(_encode_types(c.arg_types, True))))
     if not cases:
         return App(Var("empty_sum"), ())
     out = cases[-1]
@@ -910,19 +895,27 @@ def _encode_component(comp: Component) -> Term:
     if isinstance(comp, VarComponent):
         return App(Var(comp.name), ())
     if isinstance(comp, CtorComponent):
-        return App(Var("box"), tuple(_encode_type(a) for a in comp.arg_types))
+        return App(Var("box"), tuple(_encode_types(comp.arg_types, False)))
     if isinstance(comp, PrimComponent):
-        return App(Var(comp.prim), tuple(_encode_type(a) for a in comp.args))
-    return App(Var(comp.name), tuple(_encode_type(a) for a in comp.args))
+        return App(Var(comp.prim), tuple(_encode_types(comp.args, False)))
+    return App(Var(comp.name), tuple(_encode_types(comp.args, False)))
 
 
 def _flatten_sum(term: Term) -> list[Term]:
-    if isinstance(term, App) and isinstance(term.head, Var):
-        if term.head.name == "sum" and len(term.args) == 2:
-            return _flatten_sum(term.args[0]) + _flatten_sum(term.args[1])
-        if term.head.name == "empty_sum" and not term.args:
-            return []
-    return [term]
+    """The summands of a tree of `sum`s, left to right, on an explicit stack."""
+    out: list[Term] = []
+    stack = [term]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, App) and isinstance(t.head, Var):
+            if t.head.name == "sum" and len(t.args) == 2:
+                stack.append(t.args[1])
+                stack.append(t.args[0])
+                continue
+            if t.head.name == "empty_sum" and not t.args:
+                continue
+        out.append(t)
+    return out
 
 
 @dataclass(frozen=True)

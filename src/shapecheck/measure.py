@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Callable, Hashable, Iterable
 
-from .calculus import AnnTerm, Mode, Var
+from .calculus import AnnTerm, Mode, Var, trace_names
 
 
 BOTTOM = None  # the key of variable and bare-name leaves; `render_key` spells it `bot`
@@ -52,7 +52,7 @@ def tree_measure(term: AnnTerm, mode: Mode = Mode.FIRST_ORDER) -> TreeMeasure:
         if isinstance(t, Var):
             out.append(_node_measure(path_keys + (BOTTOM,)))
             continue
-        key = frozenset(t.trace)
+        key = frozenset(trace_names(t.trace))
         here = path_keys + (key,)
         out.append(_node_measure(here))
         if mode is Mode.FIRST_ORDER:

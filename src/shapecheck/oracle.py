@@ -522,6 +522,29 @@ def _head_samples(name: str, shape: HeadShape, make) -> list:
     return out
 
 
+def _subst_type(ty: TypeExpr, sub: Mapping[str, TypeExpr]) -> TypeExpr:
+    """`ty` with each variable in `sub` replaced, built on an explicit stack
+    so that a field nested thousands of levels deep costs no recursion."""
+    built: list[TypeExpr] = []
+    stack: list = [ty]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, tuple):  # a node whose arguments are built
+            (t,) = t
+            n = len(t.args)
+            args = tuple(built[-n:])
+            del built[-n:]
+            built.append(type(t)(t.name, args))
+        elif isinstance(t, TVar):
+            built.append(sub.get(t.name, t))
+        elif t.args:
+            stack.append((t,))
+            stack.extend(reversed(t.args))
+        else:
+            built.append(t)
+    return built[0]
+
+
 def enumerate_values(ty: TypeExpr, decls: Sequence[Decl], depth: int,
                      prims: PrimTable | None = None) -> list[Value]:
     """All values of a closed type up to the given constructor depth.
@@ -553,12 +576,12 @@ def enumerate_values(ty: TypeExpr, decls: Sequence[Decl], depth: int,
             return _head_samples(ty.name, decl.body.shape,
                                  lambda h, _label: OpaqueVal(ty.name, h))
         if isinstance(decl.body, AbbrevBody):
-            return enum(decl_mod._subst_type(decl.body.body, sub), depth)
+            return enum(_subst_type(decl.body.body, sub), depth)
         if depth <= 0:
             return []
         out: list[Value] = []
         for c in decl.body.ctors:
-            fields = [decl_mod._subst_type(f, sub) for f in c.arg_types]
+            fields = [_subst_type(f, sub) for f in c.arg_types]
             for combo in product(*(enum(f, depth - 1) for f in fields)):
                 out.append(CtorVal(c.name, tuple(combo)))
         return out
@@ -582,7 +605,7 @@ def repr_value(v: Value, ty: TypeExpr, decls: Sequence[Decl],
         while (isinstance(ty, TyApp) and ty.name in env
                and isinstance(env[ty.name].body, AbbrevBody)):
             decl = env[ty.name]
-            ty = decl_mod._subst_type(decl.body.body, dict(zip(decl.params, ty.args)))
+            ty = _subst_type(decl.body.body, dict(zip(decl.params, ty.args)))
         if isinstance(ty, PrimApp):
             entry = prims.get(ty.name)
             if isinstance(v, PrimVal) and v.prim == ty.name:
@@ -605,7 +628,7 @@ def repr_value(v: Value, ty: TypeExpr, decls: Sequence[Decl],
         for c in decl.body.ctors:
             if c.name != v.name:
                 continue
-            fields = [decl_mod._subst_type(f, sub) for f in c.arg_types]
+            fields = [_subst_type(f, sub) for f in c.arg_types]
             if len(fields) != len(v.args):
                 raise IllTypedError(f"constructor {c.name!r} arity mismatch")
             if c.unboxed:
@@ -813,9 +836,10 @@ def _check_traces(term: calculus.AnnTerm, defs: Mapping[str, Definition]) -> str
         t = stack.pop()
         if isinstance(t, calculus.Var):
             continue
-        if len(set(t.trace)) != len(t.trace):
-            return f"duplicate name in trace {t.trace}"
-        unknown = set(t.trace) - set(defs)
+        names = calculus.trace_names(t.trace)
+        if len(set(names)) != len(names):
+            return f"duplicate name in trace {names}"
+        unknown = set(names) - set(defs)
         if unknown:
             return f"undefined name {sorted(unknown)[0]!r} in trace"
         stack.extend((t.head,) + t.args)

@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 
@@ -12,8 +13,16 @@ LO = C.Strategy.LEFTMOST_OUTERMOST
 LI = C.Strategy.LEFTMOST_INNERMOST
 
 
+def linked(names):
+    """The linked trace that spells `names`, the first expansion first."""
+    trace = None
+    for depth, name in enumerate(names, 1):
+        trace = (trace, name, depth)
+    return trace
+
+
 def ann(name, args=(), trace=()):
-    return C.AnnApp(C.Var(name), tuple(args), tuple(trace))
+    return C.AnnApp(C.Var(name), tuple(args), linked(trace))
 
 
 class TestParse:
@@ -97,7 +106,7 @@ class TestDeepInput:
         n = 10_000
         term = C.Var("z")
         for i in range(n):
-            term = C.AnnApp(C.Var("f"), (term,), ("g",) if i % 2 else ())
+            term = C.AnnApp(C.Var("f"), (term,), linked(["g"]) if i % 2 else None)
         text = C.render_ann_term(term)
         assert text == "f[g](f[](" * (n // 2) + "z" + "))" * (n // 2)
         assert C.render_ann_term(term, HO) == "f(" * n + "z" + "".join(
@@ -133,26 +142,56 @@ class TestScale:
                                                                   C.App(C.Var("k"), ()))
 
 
+def chain(n):
+    """norm-chain-n: `g0(x) = k(x)` and `gi(x) = g{i-1}(x)`, root `gn(a)`."""
+    defs = ["g0(x) = k(x)"] + [f"g{i}(x) = g{i - 1}(x)" for i in range(1, n + 1)]
+    return C.parse_program("let rec " + "\nand ".join(defs) + f"\nin g{n}(a)\n")
+
+
+class TestTraceMonitor:
+    def test_sibling_traces(self):
+        m = C.TraceMonitor()
+        a = m.enter(None, "a")
+        ac = m.enter(a, "c")
+        ab = m.enter(a, "b")
+        assert m.enter(ab, "x") == linked("abx")
+        # from a→b→x over to its sibling a→c: `a` is still on it, `b` no more
+        assert m.enter(ac, "a") is None
+        assert m.enter(ab, "c") == linked("abc")
+        assert m.enter(ac, "b") == linked("acb")
+        assert C.trace_names(ac) == ("a", "c") and C.trace_names(None) == ()
+
+    @pytest.mark.parametrize("strategy", [LO, LI])
+    def test_a_long_chain_takes_linear_time(self, strategy):
+        # every step tests and extends a trace one name longer than the last
+        program = chain(20_000)
+        began = time.perf_counter()
+        out = C.normalize(program, strategy)
+        elapsed = time.perf_counter() - began
+        assert out == C.Normal(C.App(C.Var("k"), (C.App(C.Var("a"), ()),)), 20_001)
+        assert elapsed < 2, f"{elapsed:.2f} s"
+
+
 class TestAnnotate:
     def test_annotating_substitution_stamps_new_nodes(self):
         body = C.App(C.Var("loop"), (C.App(C.Var("list"), (C.Var("a"),)),))
-        out = C.annotate(body, {"a": ann("int")}, ("loop",))
+        out = C.annotate(body, {"a": ann("int")}, linked(["loop"]))
         assert out == ann("loop", [ann("list", [ann("int")], ("loop",))], ("loop",))
         assert C.render_ann_term(out) == "loop[loop](list[loop](int[]))"
 
     def test_variable_case_keeps_argument_annotations(self):
         u = ann("f", [C.Var("y")], ("g", "h"))
-        assert C.annotate(C.Var("x"), {"x": u}, ("k",)) is u
+        assert C.annotate(C.Var("x"), {"x": u}, linked(["k"])) is u
 
     def test_empty_substitution_gives_empty_traces(self):
         t = C.parse_program("f(g(x), y)").root
-        out = C.annotate(t, {}, ())
+        out = C.annotate(t, {}, None)
         assert C.erase(out) == t
         stack = [out]
         while stack:
             n = stack.pop()
             if isinstance(n, C.AnnApp):
-                assert n.trace == ()
+                assert n.trace is None
                 stack.extend((n.head,) + n.args)
 
 
@@ -224,10 +263,11 @@ def reference_step(program, term, strategy=LO, frozen=frozenset()):
         return None
     path, node = found
     name = node.head.name
-    if name in node.trace:
-        return C.Blocked(path, name, node.trace)
+    names = C.trace_names(node.trace)
+    if name in names:
+        return C.Blocked(path, name, names)
     d = program.def_map[name]
-    body = C.annotate(d.body, dict(zip(d.params, node.args)), node.trace + (name,))
+    body = C.annotate(d.body, dict(zip(d.params, node.args)), (node.trace, name, len(names) + 1))
     return C.Reduced(path, name), C.replace_at(term, path, body)
 
 
@@ -235,7 +275,7 @@ def reference_loop(program, strategy=LO, frozen=frozenset(), max_steps=None):
     """`normalize` spelled as a loop over `reference_step`; returns the
     outcome and the rendered `on_step` log."""
     log = []
-    current = C.annotate(program.root, {}, ())
+    current = C.annotate(program.root, {}, None)
     steps = 0
     while True:
         result = reference_step(program, current, strategy, frozen)
@@ -275,7 +315,7 @@ class TestReferenceStep:
 
     def test_outermost_first(self):
         p = C.parse_program(F.ID_LAM)
-        start = C.annotate(p.root, {}, ())
+        start = C.annotate(p.root, {}, None)
         assert reference_step(p, start, LO)[0] == C.Reduced((), "id")
         assert reference_step(p, start, LI)[0] == C.Reduced((1,), "id")
 
@@ -294,7 +334,7 @@ class TestFirstSteps:
     def test_normal_form_without_redexes(self):
         p = C.parse_program("c(int)")
         assert first_steps(p) == (C.Normal(p.root, 0), [])
-        assert reference_step(p, C.annotate(p.root, {}, ())) is None
+        assert reference_step(p, C.annotate(p.root, {}, None)) is None
 
     def test_innermost_picks_inner_redex(self):
         p = C.parse_program(F.ID_LAM)
@@ -330,8 +370,9 @@ class TestNormalize:
                         t = stack.pop()
                         if isinstance(t, C.Var):
                             continue
-                        assert len(set(t.trace)) == len(t.trace)
-                        assert set(t.trace) <= set(_p.def_map)
+                        names = C.trace_names(t.trace)
+                        assert len(set(names)) == len(names)
+                        assert set(names) <= set(_p.def_map)
                         stack.extend((t.head,) + t.args)
 
                 C.normalize(program, on_step=check)

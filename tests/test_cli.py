@@ -164,6 +164,17 @@ class TestNorm:
                                            "normal_form": "int", "steps": 2,
                                            "measure_ok": True}) + "\n")
 
+    @pytest.mark.parametrize("flags", [[], ["--trace"], ["--json"]])
+    def test_each_term_is_measured_once(self, tmp_path, capsys, monkeypatch, flags):
+        defs = ["f0(x) = c(x)"] + [f"f{i}(x) = f{i - 1}(f{i - 1}(x))" for i in range(1, 7)]
+        path = write(tmp_path, "expo6.lam", "let rec " + "\nand ".join(defs) + "\nin f6(k)\n")
+        calls = []
+        tree_measure = measure.tree_measure
+        monkeypatch.setattr(measure, "tree_measure", lambda *a: calls.append(1) or tree_measure(*a))
+        code, out = run(capsys, ["norm", "--check-measure", *flags, path])
+        assert code == 0 and "127" in out
+        assert len(calls) == 128  # the start and each of the 127 steps' terms
+
     def test_max_steps_guard(self, tmp_path, capsys):
         path = write(tmp_path, "id.lam", F.ID_LAM)
         assert cli.main(["norm", "--max-steps", "1", path]) == 2

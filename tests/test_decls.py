@@ -254,6 +254,14 @@ class TestDeepTypes:
             D.parse_decls(BOX + arg)
         assert str(caught.value) == message
 
+    def test_lambda_encoding_at_depth_ten_thousand(self):
+        # `box` is an encoding head, so the wrapper is named `bx`; `U` is boxed
+        ds = D.parse_decls("type 'a bx = B of 'a\ntype u = U of int" + " bx" * DEPTH + "\n")
+        program = D.translate_to_program(ds, root="u")
+        assert C.render_term(program.defs[1].body) == "box(" + "bx(" * DEPTH + "int" + ")" * (DEPTH + 1)
+        agreement = D.check_lambda_agreement(ds, "u")
+        assert (agreement.agrees, agreement.detail) == (True, "1 component(s) match")
+
     def test_render_type_round_trips_at_depth_ten_thousand(self):
         ds = D.parse_decls(BOX + "int" + " box" * DEPTH + " [@unboxed]\n")
         text = render_decls(ds)
@@ -551,6 +559,18 @@ class TestTranslate:
             "and handle() = sum(id(int), sum(name, box(string)))\n"
             "in handle\n"
         )
+
+    def test_type_arguments_keep_their_order(self):
+        ds = D.parse_decls("type ('a, 'b) pair = P of 'a * 'b\ntype ('a, 'b) swap = ('b, 'a) pair\n"
+                           "type u = U of ((int, string) pair, bool) swap\n")
+        assert C.render_program(D.translate_to_program(ds, root="u")) == (
+            "let rec pair(a, b) = box(a, b)\n"
+            "and swap(a, b) = pair(b, a)\n"
+            "and u() = box(swap(pair(int, string), bool))\n"
+            "in u\n"
+        )
+        (comp,) = D.normalize_type(D.self_application(ds[2]), ds).components
+        assert C.render_term(D._encode_component(comp)) == "box(swap(pair(int, string), bool))"
 
     def test_empty_variant_is_an_empty_sum(self):
         (d,) = D.parse_decls("type empty = |")

@@ -12,7 +12,10 @@ HO = C.Mode.CLOSED_HIGHER_ORDER
 
 
 def node(name, args=(), trace=()):
-    return AnnApp(Var(name), tuple(args), tuple(trace))
+    linked = None
+    for depth, traced in enumerate(trace, 1):
+        linked = (linked, traced, depth)
+    return AnnApp(Var(name), tuple(args), linked)
 
 
 def key(*names):
@@ -45,7 +48,7 @@ class TestTreeMeasure:
 
     def test_cardinality_equals_node_count(self):
         for program in O.gen_programs(3, O.GenParams(count=30)):
-            term = C.annotate(program.root, {}, ())
+            term = C.annotate(program.root, {}, None)
 
             def count(t):
                 if isinstance(t, Var):

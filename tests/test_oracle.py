@@ -420,6 +420,18 @@ class TestEnumerate:
         ds = D.parse_decls(F.ROPE_DECL)
         assert len(O.enumerate_values(TyApp("rope"), ds, 3)) == 19
 
+    def test_substitution_keeps_argument_order(self):
+        ds = D.parse_decls("type ('a, 'b) pair = P of 'a * 'b\ntype ('a, 'b) t = T of ('b, 'a) pair\n")
+        vals = O.enumerate_values(TyApp("t", (PrimApp("int"), PrimApp("bool"))), ds, 2)
+        assert [O.render_value(v) for v in vals] == [
+            "T(P(true, 0))", "T(P(true, 1))", "T(P(false, 0))", "T(P(false, 1))"]
+
+    def test_a_deep_field_is_substituted_without_recursion(self):
+        n = 10_000
+        ds = D.parse_decls("type 'a bx = B of 'a\ntype 'a deep = D of 'a" + " bx" * n + " | E\n")
+        vals = O.enumerate_values(TyApp("deep", (PrimApp("int"),)), ds, 3)
+        assert [O.render_value(v) for v in vals] == ["E"]
+
 
 class TestRepr:
     def test_true_is_immediate_zero(self):
