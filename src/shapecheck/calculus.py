@@ -6,8 +6,11 @@ produced it. A call whose own name already occurs in its trace is refused
 finite time instead of looping. A trace is a shared linked node, extended
 by one node per expansion and never copied; `TraceMonitor` tests a name
 against it in O(1) per move of the search, and `trace_names` spells it.
-The type unfolder in `decls` runs the same monitor. Terms and programs are
-immutable, so all values here can be shared freely between threads.
+The type unfolder in `decls` and the macro expander in `cppmacro`, whose
+hide sets are traces, run the same monitor. `read_term_at` reads the
+first-order terms of `.lam` files and of macro token pairs alike. Terms and
+programs are immutable, so all values here can be shared freely between
+threads.
 
 `normalize` takes the strategy-first step on a focus machine (a zipper)
 that goes on from the last rewrite, so its work is linear in the steps it
@@ -404,7 +407,8 @@ class _Focus:
 
 
 # ---------------------------------------------------------------------------
-# The trace monitor, which the type unfolder in `decls` runs as well
+# The trace monitor, which the type unfolder in `decls` and the macro
+# expander in `cppmacro` run as well
 
 
 def trace_names(trace: Trace) -> tuple[str, ...]:
@@ -464,58 +468,71 @@ _SCAN = syntax.scanner(
 )
 
 
+_PUNCT = ("(", ")", ",")
+
+
+def read_term_at(texts: Sequence[str | None], pos: int, params: Collection[str], mode: Mode,
+                 fail: Callable[[int, str], None]) -> tuple[Term, int]:
+    """`name (args)*` from `texts[pos]` on, and the position after it, read
+    on an explicit stack of open argument lists so that nesting depth costs
+    no recursion. `texts` spells each token, None for one that is neither
+    a name nor `(`, `)` or `,`, and ends with None; names in `params` stay
+    variables. On a token that does not fit, `fail(position, expected)`
+    raises. The `.lam` parser and `cppmacro.read_term` both read with it."""
+    first_order = mode is Mode.FIRST_ORDER
+    open_apps: list[tuple[Term, list[Term]]] = []
+    while True:
+        name = texts[pos]
+        if name is None or name in _PUNCT:
+            fail(pos, "a name")
+        pos += 1
+        node: Term = Var(name)
+        if first_order and texts[pos] != "(" and name not in params:
+            # free names and nullary calls are applications so that they
+            # carry a trace once annotated
+            node = App(node, ())
+        while True:
+            follow = texts[pos]
+            if follow == "(":
+                pos += 1
+                if texts[pos] != ")":
+                    open_apps.append((node, []))
+                    break  # read the first argument
+                pos += 1
+                node = App(node, ())
+                continue
+            if not open_apps:
+                return node, pos
+            head, args = open_apps[-1]
+            args.append(node)
+            if follow == ",":
+                pos += 1
+                break  # read the next argument
+            if follow != ")":
+                fail(pos, "')'")
+            pos += 1
+            open_apps.pop()
+            node = App(head, tuple(args))
+
+
 class _Parser(syntax.Cursor):
     error = ParseError
 
     def __init__(self, toks: Sequence[syntax.Tok], mode: Mode):
         super().__init__(toks)
         self.mode = mode
+        self.texts = [t.text if t.kind == "name" or t.text in _PUNCT else None for t in toks]
 
     def name(self) -> syntax.Tok:
         return self.expect_kind("name", "a name")
 
     def term(self, params: Collection[str]) -> Term:
-        """`name (args)*`, read on an explicit stack of open argument lists
-        so that nesting depth costs no recursion. The position is kept in a
-        local; on a token that does not fit, the cursor's own check raises."""
-        toks, pos = self.toks, self.pos
-        first_order = self.mode is Mode.FIRST_ORDER
-        open_apps: list[tuple[Term, list[Term]]] = []
-        while True:
-            t = toks[pos]
-            if t.kind != "name":
-                self.pos = pos
-                self.name()
-            pos += 1
-            node: Term = Var(t.text)
-            if first_order and toks[pos].text != "(" and t.text not in params:
-                # free names and nullary calls are applications so that they
-                # carry a trace once annotated
-                node = App(node, ())
-            while True:
-                follow = toks[pos].text
-                if follow == "(":
-                    pos += 1
-                    if toks[pos].text != ")":
-                        open_apps.append((node, []))
-                        break  # read the first argument
-                    pos += 1
-                    node = App(node, ())
-                    continue
-                if not open_apps:
-                    self.pos = pos
-                    return node
-                head, args = open_apps[-1]
-                args.append(node)
-                if follow == ",":
-                    pos += 1
-                    break  # read the next argument
-                if follow != ")":
-                    self.pos = pos
-                    self.expect(")")
-                pos += 1
-                open_apps.pop()
-                node = App(head, tuple(args))
+        term, self.pos = read_term_at(self.texts, self.pos, params, self.mode, self.fail_at)
+        return term
+
+    def fail_at(self, pos: int, expected: str) -> None:
+        t = self.toks[pos]
+        raise self.fail(f"expected {expected}, found {t.text or 'end of input'!r}", t)
 
     def definition(self) -> Definition:
         t = self.name()
@@ -530,15 +547,6 @@ class _Parser(syntax.Cursor):
         self.expect("=")
         body = self.term(params)
         return Definition(t.text, tuple(params), body)
-
-
-def read_term(toks: Sequence[syntax.Tok], params: Collection[str] = ()) -> Term:
-    """One first-order term spanning `toks`, which are already split into
-    `name` and `punct` tokens; names in `params` stay variables."""
-    p = _Parser(list(toks) + [syntax.Tok("eof", "", 0, 0)], Mode.FIRST_ORDER)
-    term = p.term(params)
-    p.end()
-    return term
 
 
 def parse_program(text: str, mode: Mode = Mode.FIRST_ORDER) -> Program:

@@ -7,19 +7,23 @@ from that token, literals carry None, and every comma is the one `_COMMA`
 object. A macro call adds its own name, intersected between the hide sets
 of the name token and the closing parenthesis, to everything it produces.
 Expansion runs on an explicit stack and expands each actual at most once
-per call. The module also provides a harness comparing expansion against
-monitored normalization of the same system encoded as a first-order program.
+per call. Inside `expand` a non-empty hide set is a calculus trace, a
+linked node, and `calculus.TraceMonitor.enter` both refuses a hidden call
+and adds the called name; frozensets appear only at its boundary. The
+module also provides a harness comparing expansion against monitored
+normalization of the same system encoded as a first-order program, read
+straight from the token pairs.
 """
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from itertools import groupby
 from operator import attrgetter
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 from . import calculus, syntax
-from .calculus import Mode, Program, Definition, Strategy, Term
+from .calculus import (Definition, Mode, Program, Strategy, Term, Trace, TraceMonitor,
+                       trace_names)
 from .syntax import Tok
 
 
@@ -62,7 +66,21 @@ def hsadd(hide: frozenset[str], tokens: Iterable[Token]) -> TokenSeq:
     return tuple(t if t[1] is None else (t[0], t[1] | hide) for t in tokens)
 
 
-def _body(body: Iterable[Token], formals: tuple[str, ...]) -> list:
+def _fork(a: Trace, b: Trace) -> tuple[Trace, list, list]:
+    """The lowest node common to the traces `a` and `b`, and the names of
+    each below it, the last expansion first."""
+    a_names, b_names = [], []
+    while a is not b:
+        if b is None or (a is not None and a[2] >= b[2]):
+            a_names.append(a[1])
+            a = a[0]
+        else:
+            b_names.append(b[1])
+            b = b[0]
+    return a, a_names, b_names
+
+
+def _body(body: list, formals: tuple[str, ...]) -> list:
     """`body` with each formal occurrence replaced by the formal's index."""
     return [formals.index(t[0]) if t[1] is not None and t[0] in formals else t for t in body]
 
@@ -72,7 +90,7 @@ class _Subst:
     expanded actual with the substitutions its expansion took."""
     __slots__ = ("items", "actuals", "hide", "acc", "memo", "waiting", "start")
 
-    def __init__(self, body: list, actuals: list, hide: frozenset[str]):
+    def __init__(self, body: list, actuals: list, hide: tuple):
         self.items = iter(body)
         self.actuals = actuals
         self.hide = hide
@@ -84,7 +102,10 @@ class _Engine:
     """Expansion on an explicit stack of scans and pending substitutions. A
     scan is a `(work, out)` pair with `work` reversed, so its next token is
     `work[-1]`; a substitution waits on the scan above it for an actual,
-    which it keeps for the formal's later uses."""
+    which it keeps for the formal's later uses.
+
+    A hide set is `_EMPTY` or a calculus trace, the empty trace None being
+    a literal's mark; `hide or None` is the trace."""
 
     def __init__(self, defs: Mapping[str, MacroDef], budget: int):
         self.defs = defs
@@ -92,45 +113,90 @@ class _Engine:
         self.substs = 0
         self.stamped = 0
         self.bodies: dict[str, list] = {}
-        self.interned: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+        self.monitor = TraceMonitor()
+        # (id(trace), name) -> (trace, the monitor's answer), which keeps
+        # `trace` alive: each answer is asked for once, and equal paths are
+        # one node
+        self.answers: dict[tuple[int, str], tuple] = {}
+        self.traces: dict[frozenset[str], tuple] = {}
 
     def charge(self, n: int) -> None:
         self.substs += n
         if self.substs > self.budget:
             raise ExpansionBudgetError(f"more than {self.budget} substitutions")
 
-    def intern(self, hide: frozenset[str]) -> frozenset[str]:
-        """The live set equal to `hide`, so that equal hide sets the engine
-        makes are one object. Weak entries keep no dead set alive."""
-        ref = self.interned.get(hide)
-        live = ref() if ref is not None else None
-        if live is None:
-            self.interned[hide] = weakref.ref(hide)
-            return hide
-        return live
+    def enter(self, trace: Trace, name: str) -> Trace:
+        """`trace` extended by `name`, or None when `name` is on it."""
+        key = (id(trace), name)
+        answer = self.answers.get(key)
+        if answer is None:
+            answer = self.answers[key] = (trace, self.monitor.enter(trace, name))
+        return answer[1]
 
-    def stamp(self, tokens: list, hide: frozenset[str]) -> list:
-        """`tokens` with `hide` added to every hide set, charged against
-        `_TOKEN_LIMIT`. Each set object is united once per call, and a union
-        that changes nothing keeps the set."""
+    def extend(self, trace: Trace, names: Iterable[str]) -> Trace:
+        """`trace` extended by `names`, none of which is on it."""
+        for name in names:
+            trace = self.enter(trace, name)
+        return trace
+
+    def inward(self, tokens: Iterable[Token]) -> list:
+        """`tokens` with each hide set as the engine keeps it, one trace per
+        distinct set that is not empty."""
+        traces = self.traces
+        return [t if t[1] is None or t[1] is _EMPTY
+                else (t[0], traces.get(t[1]) or traces.setdefault(
+                    t[1], self.extend(None, sorted(t[1])) or _EMPTY))
+                for t in tokens]
+
+    def union(self, a: tuple, b: tuple) -> tuple:
+        """What the traces `a` or `b` name: `b` when `a` is on its path,
+        else `a` extended by the names `b` adds."""
+        _, a_names, b_names = _fork(a, b)
+        seen = set(a_names)
+        return self.extend(a, [n for n in reversed(b_names) if n not in seen]) if a_names else b
+
+    def meet(self, a: Trace, b: Trace) -> Trace:
+        """What both traces `a` and `b` name: `b` when it is on the path of
+        `a`, else their common node extended by the names below it on both."""
+        common, a_names, b_names = _fork(a, b)
+        both = set(b_names)
+        return self.extend(common, [n for n in reversed(a_names) if n in both]) if b_names else b
+
+    def stamp(self, tokens: list, hide: tuple) -> list:
+        """`tokens` with the trace `hide` added to every hide set, charged
+        against `_TOKEN_LIMIT`. Each set is united once per call, a union
+        that changes nothing keeps the token, and the tokens it changes
+        become one object per text and set, so that copies of an actual
+        cost no new tokens."""
         self.stamped += len(tokens)
         if self.stamped > _TOKEN_LIMIT:
             raise ExpansionBudgetError(f"more than {_TOKEN_LIMIT} tokens")
-        united: dict[int, frozenset[str]] = {}
+        united: dict[int, tuple] = {}  # id(set) -> (the union, its tokens by text or None)
         out = []
-        last = last_united = None
+        last = made = None
         for t in tokens:
             h = t[1]
             if h is not last:
-                last, last_united = h, united.get(id(h))
-                if last_united is None and h is not None:
-                    last_united = united[id(h)] = (
-                        hide if h <= hide else h if hide <= h else self.intern(h | hide))
-            out.append(t if last_united is h else (t[0], last_united))
+                last = h
+                if h is None:
+                    made = None
+                else:
+                    entry = united.get(id(h))
+                    if entry is None:
+                        joined = hide if h is _EMPTY or h is hide[0] else self.union(h, hide)
+                        entry = united[id(h)] = (joined, None if joined is h else {})
+                    joined, made = entry
+            if made is None:
+                out.append(t)
+                continue
+            new = made.get(t[0])
+            if new is None:
+                new = made[t[0]] = (t[0], joined)
+            out.append(new)
         return out
 
     def run(self, stack: list) -> list:
-        defs = self.defs
+        defs, answers, monitor_enter = self.defs, self.answers, self.monitor.enter
         while True:
             frame = stack[-1]
             if type(frame) is _Subst:
@@ -158,8 +224,15 @@ class _Engine:
             while work:
                 tok = work.pop()
                 name, hide = tok
-                if (name in defs and hide is not None and name not in hide
+                if (name in defs and hide is not None
                         and work and work[-1][0] == "(" and work[-1][1] is not None):
+                    answer = answers.get((id(hide), name))  # `self.enter`, inlined
+                    if answer is None:
+                        answer = answers[id(hide), name] = (hide, monitor_enter(hide or None, name))
+                    called = answer[1]  # None when `name` is hidden
+                    if called is None:
+                        out.append(tok)
+                        continue
                     actuals, rhide = _split_actuals(work, name)
                     d = defs[name]
                     if len(actuals) != len(d.formals):
@@ -170,9 +243,9 @@ class _Engine:
                     self.charge(1)
                     body = self.bodies.get(name)
                     if body is None:
-                        body = self.bodies[name] = _body(d.body, d.formals)
-                    # `name` is not in `hide`, so the union always adds it
-                    called = self.intern((hide if hide is rhide else hide & rhide) | {name})
+                        body = self.bodies[name] = _body(self.inward(d.body), d.formals)
+                    if rhide is not hide:
+                        called = self.enter(self.meet(hide or None, rhide or None), name)
                     stack.append(_Subst(body, actuals, called))
                     break
                 out.append(tok)
@@ -183,6 +256,28 @@ class _Engine:
                 waiting = stack[-1]
                 waiting.memo[waiting.waiting] = (out, self.substs - waiting.start)
                 waiting.acc += out
+
+
+def _frozen(tokens: list) -> list[Token]:
+    """`tokens` with each trace a frozenset again, one per distinct trace.
+    Tokens of equal text and trace become one object, so that a long output
+    allocates only its distinct tokens."""
+    sets: dict[int, tuple[frozenset[str], dict[str, Token]]] = {}  # `tokens` keeps each id
+    out = []
+    last = made = None
+    for t in tokens:
+        h = t[1]
+        if h is None or h is _EMPTY:
+            out.append(t)
+            continue
+        if h is not last:
+            last = h
+            hide, made = sets.get(id(h)) or sets.setdefault(id(h), (frozenset(trace_names(h)), {}))
+        new = made.get(t[0])
+        if new is None:
+            new = made[t[0]] = (t[0], hide)
+        out.append(new)
+    return out
 
 
 def _split_actuals(work: list, name: str) -> tuple[list[list], frozenset[str]]:
@@ -218,9 +313,10 @@ def expand(tokens: Iterable[Token], defs: Mapping[str, MacroDef],
     per call; `budget` bounds the substitutions that repeated expansion of
     the actuals would have performed, and `_TOKEN_LIMIT` the tokens the
     substitutions produce."""
-    work = list(tokens)
+    engine = _Engine(defs, budget)
+    work = engine.inward(tokens)
     work.reverse()
-    return _Engine(defs, budget).run([(work, [])])
+    return _frozen(engine.run([(work, [])]))
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +341,7 @@ def tokenize(text: str) -> tuple[Token, ...]:
     return _pairs(_lex(text))
 
 
-def _check_balanced(tokens: TokenSeq, what: str, lineno: int) -> None:
+def _balanced(tokens: TokenSeq) -> bool:
     depth = 0
     for text, _ in tokens:
         if text == "(":
@@ -253,9 +349,8 @@ def _check_balanced(tokens: TokenSeq, what: str, lineno: int) -> None:
         elif text == ")":
             depth -= 1
             if depth < 0:
-                raise MacroError(f"line {lineno}: unbalanced parentheses in {what}")
-    if depth != 0:
-        raise MacroError(f"line {lineno}: unbalanced parentheses in {what}")
+                return False
+    return depth == 0
 
 
 def parse_macro_file(text: str) -> tuple[dict[str, MacroDef], TokenSeq]:
@@ -266,32 +361,33 @@ def parse_macro_file(text: str) -> tuple[dict[str, MacroDef], TokenSeq]:
         toks = list(line)
         if (len(toks) > 1 and toks[0].text == "#" and toks[1].text == "define"
                 and toks[1].col == toks[0].col + 1):  # `#define` as one word
-            rest = toks[2:]
-            if not rest or rest[0].kind != "name":
+            if len(toks) < 3 or toks[2].kind != "name":
                 raise MacroError(f"line {lineno}: malformed #define")
-            name = rest[0].text
-            if len(rest) < 3 or rest[1].text != "(":
+            texts = [t.text for t in toks]
+            name = texts[2]
+            if len(toks) < 5 or texts[3] != "(":
                 raise MacroError(f"line {lineno}: {name!r} must be a function-like macro")
             # `(` then `)` or name (`,` name)* `)`
-            close = next((i for i, t in enumerate(rest) if t.text == ")"), None)
-            inner = rest[2:close]
-            if (close is None or (inner and len(inner) % 2 == 0)
-                    or not all(t.kind == "name" for t in inner[0::2])
-                    or not all(t.text == "," for t in inner[1::2])):
+            close = texts.index(")") if ")" in texts else None
+            if (close is None or (close > 4 and close % 2 == 0)
+                    or any(t.kind != "name" for t in toks[4:close:2])
+                    or texts[5:close:2].count(",") != (close - 4) // 2):
                 raise MacroError(f"line {lineno}: malformed parameter list of {name!r}")
-            formals = tuple(t.text for t in inner[0::2])
+            formals = tuple(texts[4:close:2])
             if name in defs:
                 raise MacroError(f"line {lineno}: duplicate definition of {name!r}")
             if len(set(formals)) != len(formals):
                 raise MacroError(f"line {lineno}: duplicate parameter of {name!r}")
-            body = _pairs(rest[close + 1:])
-            _check_balanced(body, f"the body of {name!r}", lineno)
+            body = _pairs(toks[close + 1:])
+            if not _balanced(body):
+                raise MacroError(f"line {lineno}: unbalanced parentheses in the body of {name!r}")
             defs[name] = MacroDef(name, formals, body)
         else:
             if call is not None:
                 raise MacroError(f"line {lineno}: more than one call line")
             call = _pairs(toks)
-            _check_balanced(call, "the call", lineno)
+            if not _balanced(call):
+                raise MacroError(f"line {lineno}: unbalanced parentheses in the call")
     if call is None:
         raise MacroError("missing call line")
     return defs, call
@@ -333,16 +429,21 @@ def first_order_violation(defs: Mapping[str, MacroDef], call: TokenSeq) -> str |
     return scan(call, "the call")
 
 
-def _term_of_tokens(tokens: TokenSeq, what: str, formals: frozenset[str] = frozenset()) -> Term:
-    # The error below keeps no position, so tokens of equal text are shared:
-    # building one per input token costs more than reading it.
-    shared = {p: Tok("punct", p, 1, 1) for p in "(),"}
-    toks = [shared.get(text) or shared.setdefault(text, Tok("name", text, 1, 1))
-            for text, _ in tokens]
-    try:
-        return calculus.read_term(toks, formals)
-    except calculus.ParseError as e:
-        raise MalformedCallError(f"{e.message} in {what}") from None
+def read_term(tokens: TokenSeq, what: str, params: Collection[str] = ()) -> Term:
+    """The first-order term spanning the pairs `tokens`, in which any text
+    but `(`, `)` and `,` is a name; names in `params` stay variables. The
+    messages are those of the `.lam` parser, ending in `what`."""
+    texts = [t[0] for t in tokens]
+    texts.append(None)  # the end of the input
+
+    def fail(pos: int, expected: str) -> None:
+        found = texts[pos] or "end of input"
+        raise MalformedCallError(f"expected {expected}, found {found!r} in {what}")
+
+    term, pos = calculus.read_term_at(texts, 0, params, Mode.FIRST_ORDER, fail)
+    if texts[pos] is not None:
+        raise MalformedCallError(f"unexpected trailing input {texts[pos]!r} in {what}")
+    return term
 
 
 def translate_macros(defs: Mapping[str, MacroDef], call: TokenSeq) -> Program:
@@ -351,10 +452,10 @@ def translate_macros(defs: Mapping[str, MacroDef], call: TokenSeq) -> Program:
     `NotFirstOrderError`."""
     definitions = tuple(
         Definition(d.name, d.formals,
-                   _term_of_tokens(d.body, f"the body of {d.name!r}", frozenset(d.formals)))
+                   read_term(d.body, f"the body of {d.name!r}", d.formals))
         for d in defs.values()
     )
-    root = _term_of_tokens(call, "the call")
+    root = read_term(call, "the call")
     try:
         return Program(definitions, root, Mode.FIRST_ORDER)
     except calculus.LamError as e:
@@ -400,7 +501,7 @@ def compare_first_order(defs: Mapping[str, MacroDef], call: TokenSeq) -> Agreeme
     if blocked:
         return AgreementReport(False, "mismatch", cpp_text, calc_text,
                                "normalization finished but expansion blocked")
-    expanded_term = _term_of_tokens(expanded, "the expansion") if expanded else None
+    expanded_term = read_term(expanded, "the expansion") if expanded else None
     # `!=` on terms recurses once per nesting level; in a first-order system
     # every name on both sides is an application, so renderings compare exactly
     if expanded_term is None or calculus.render_term(expanded_term) != calc_text:

@@ -52,17 +52,18 @@ _make_tok = partial(tuple.__new__, Tok)
 
 
 def lex(text: str, scan: Scanner, error: type[SourceError]) -> list[Tok]:
-    kinds = scan.kinds
+    kinds, finditer = scan.kinds, scan.pattern.finditer
     toks: list[Tok] = []
+    push = toks.append
     lines = text.split("\n")
     for lineno, line in enumerate(lines, start=1):
-        for m in scan.pattern.finditer(line):
+        for m in finditer(line):
             i = m.lastindex
             kind = kinds[i]
             if kind is None:
-                raise error(f"unexpected character {m.group(i)!r}", lineno, m.start(i) + 1)
+                raise error(f"unexpected character {m[i]!r}", lineno, m.start(i) + 1)
             if kind != SKIP:
-                toks.append(_make_tok((kind, m.group(i), lineno, m.start(i) + 1)))
+                push(_make_tok((kind, m[i], lineno, m.start(i) + 1)))
     toks.append(Tok("eof", "", len(lines), len(lines[-1]) + 1))  # after the last character
     return toks
 

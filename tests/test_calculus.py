@@ -94,14 +94,6 @@ class TestDeepInput:
         assert names == ["f"] * n
         assert leaf == (C.App(C.Var("z"), ()) if mode is FO else C.Var("z"))
 
-    def test_read_term_from_split_tokens(self):
-        toks = [C.syntax.Tok(k, t, 1, i + 1) for i, (k, t) in enumerate(
-            [("name", "f"), ("punct", "("), ("name", "x"), ("punct", ","), ("name", "c"),
-             ("punct", ")")])]
-        assert C.read_term(toks, {"x"}) == C.App(C.Var("f"), (C.Var("x"), C.App(C.Var("c"), ())))
-        with pytest.raises(C.ParseError, match="unexpected trailing input"):
-            C.read_term(toks + toks)
-
     def test_render_ann_term_depth_ten_thousand(self):
         n = 10_000
         term = C.Var("z")

@@ -1,4 +1,6 @@
 import hashlib
+import random
+import time
 
 import pytest
 
@@ -115,6 +117,19 @@ class TestExpand:
         with pytest.raises(P.ExpansionBudgetError, match="^more than 7 tokens$"):
             P.expand(call, defs)
 
+    def test_long_chain_is_linear(self):
+        # g0(x) = k(x), gi(x) = g{i-1}(x): each level adds one name to the
+        # trace it was called with, so no hide set is copied per level
+        n = 20_000
+        lines = ["#define g0(x) k(x)"] + [f"#define g{i}(x) g{i - 1}(x)" for i in range(1, n + 1)]
+        defs, call = P.parse_macro_file("\n".join(lines) + f"\ng{n}(a)\n")
+        start = time.perf_counter()
+        out = P.expand(call, defs)
+        elapsed = time.perf_counter() - start
+        assert P.render_tokens(out) == "k ( a )"
+        assert all(h == frozenset(defs) for _, h in out)
+        assert elapsed < 2.0, f"{elapsed:.2f} s"
+
     @pytest.mark.parametrize("seed, params, digest", [
         (4242, O.GenParams(count=500, max_arity=2), "930bf48b557b164ea35e4d3049aa9698329426bc"),
         (7, O.GenParams(count=60, max_arity=3), "f7942aaabb4ee55a4046f6dd13941326fe2d2f76"),
@@ -165,6 +180,34 @@ class TestParseMacroFile:
                 assert P.tokenize(P.render_tokens(ts)) == ts
 
 
+class TestReadTerm:
+    def test_read_term_from_token_pairs(self):
+        pairs = P.tokenize("f(x, c)")
+        want = C.App(C.Var("f"), (C.Var("x"), C.App(C.Var("c"), ())))
+        assert P.read_term(pairs, "the call", {"x"}) == want
+        with pytest.raises(P.MalformedCallError,
+                           match=r"^unexpected trailing input 'f' in the call$"):
+            P.read_term(pairs + pairs, "the call")
+
+    def test_errors_and_terms_match_the_calculus_reader(self):
+        # every message is the `.lam` parser's, without its position
+        rng = random.Random(3)
+        words = ["f", "x", "c", "(", ")", ","]
+        for _ in range(4000):
+            text = " ".join(rng.choice(words) for _ in range(rng.randint(0, 8)))
+            try:
+                want = C.parse_program(text).root
+            except C.ParseError as e:
+                with pytest.raises(P.MalformedCallError) as got:
+                    P.read_term(P.tokenize(text), "w")
+                assert str(got.value) == f"{e.message} in w"
+                continue
+            except C.LamError:
+                want = None  # read, then refused as a program
+            term = P.read_term(P.tokenize(text), "w")
+            assert want is None or term == want
+
+
 class TestTranslate:
     def test_deep_call(self):
         n = 10_000
@@ -210,6 +253,17 @@ class TestCompareFirstOrder:
             "g": P.MacroDef("g", ("x",), P.tokenize("x")),
         }
         assert P.first_order_violation(defs, P.tokenize("f(a)")) is not None
+
+    def test_reports_are_pinned(self):
+        # the SHA-1 of all five fields of every report, one line each, in order
+        systems = [P.parse_macro_file(text) for text in (F.LOOP_CPP, F.ID_CPP)]
+        systems += O.gen_macros(4242, O.GenParams(count=500, max_arity=2))
+        h = hashlib.sha1()
+        for defs, call in systems:
+            r = P.compare_first_order(defs, call)
+            fields = (r.agrees, r.outcome, r.cpp_output, r.calculus_outcome, r.detail)
+            h.update(repr(fields).encode() + b"\n")
+        assert h.hexdigest() == "29e2144586af0404e7b66eb639904c1d237610ee"
 
     def test_generated_systems_agree(self):
         for defs, call in O.gen_macros(123, O.GenParams(count=60)):

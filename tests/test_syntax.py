@@ -4,6 +4,8 @@ from hypothesis import given, settings, strategies as st
 from shapecheck import calculus as C
 from shapecheck import cppmacro as P
 from shapecheck import decls as D
+from shapecheck import fixtures as F
+from shapecheck import oracle as O
 from shapecheck import shapes as S
 from shapecheck import syntax as X
 
@@ -33,6 +35,60 @@ class TestLex:
         scan = X.scanner(("kw", r"in(?![a-z])"), ("name", r"[a-z]+"))
         kinds = [t.kind for t in X.lex("in int", scan, X.SourceError)]
         assert kinds == ["kw", "name", "eof"]
+
+
+def frozen_lex(text, scan, error):
+    """`syntax.lex` as it was before its loop bound its methods to locals."""
+    kinds = scan.kinds
+    toks = []
+    lines = text.split("\n")
+    for lineno, line in enumerate(lines, start=1):
+        for m in scan.pattern.finditer(line):
+            i = m.lastindex
+            kind = kinds[i]
+            if kind is None:
+                raise error(f"unexpected character {m.group(i)!r}", lineno, m.start(i) + 1)
+            if kind != X.SKIP:
+                toks.append(X.Tok(kind, m.group(i), lineno, m.start(i) + 1))
+    toks.append(X.Tok("eof", "", len(lines), len(lines[-1]) + 1))
+    return toks
+
+
+def lexed(lex, text, scan, error):
+    try:
+        return lex(text, scan, error)
+    except X.SourceError as e:
+        return type(e), str(e)
+
+
+class TestLexAgainstFrozenLoop:
+    """`lex` gives the tokens, or the located error, of the loop it replaced."""
+
+    def check(self, texts, scan, error):
+        for text in texts:
+            assert lexed(X.lex, text, scan, error) == lexed(frozen_lex, text, scan, error)
+
+    def test_lam(self):
+        texts = [F.DELTA_LAM, F.FSTOP_LAM, "let rec f(x) = x + 1 in f(k)", "a\n\n  b # c\n"]
+        for mode in C.Mode:
+            texts += [C.render_program(p)
+                      for p in O.gen_programs(3, O.GenParams(count=100, mode=mode))]
+        self.check(texts, C._SCAN, C.ParseError)
+
+    def test_decl(self):
+        from test_decls import render_decls
+        texts = [render_decls(ds) for ds in O.gen_decls(5, O.GenParams(count=100))]
+        texts += ["type t = A of int [@unboxed] | B", "type t = A ? B", "type 'a t = 'a\n\t"]
+        self.check(texts, D._SCAN, D.DeclSyntaxError)
+
+    def test_cpp(self):
+        texts = [F.NIL_CPP, F.ACHAIN_CPP, F.FSTOP_CPP, F.LOOP_CPP, F.ID_CPP,
+                 "#define f(x) x+// c\nf(1.5e3)  // call\n", "f(a) \x00 g"]
+        for defs, call in O.gen_macros(7, O.GenParams(count=60, max_arity=3)):
+            lines = [f"#define {d.name}({','.join(d.formals)}) {P.render_tokens(d.body)}"
+                     for d in defs.values()]
+            texts.append("\n".join(lines) + "\n" + P.render_tokens(call) + "\n")
+        self.check(texts, P._SCAN, X.SourceError)
 
 
 class TestCursor:
