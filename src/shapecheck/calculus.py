@@ -5,20 +5,21 @@ produced it. A call whose own name already occurs in its trace is refused
 (a "blocked redex"), which is what lets normalization report divergence in
 finite time instead of looping. A trace is a shared linked node, extended
 by one node per expansion and never copied; `TraceMonitor` tests a name
-against it in O(1) per move of the search, and `trace_names` spells it.
-The type unfolder in `decls` and the macro expander in `cppmacro`, whose
-hide sets are traces, run the same monitor. `read_term_at` reads the
-first-order terms of `.lam` files and of macro token pairs alike. Terms and
-programs are immutable, so all values here can be shared freely between
-threads.
+against it in O(1) per move of the search, made by `trace_fork`, the one
+walk between two traces; `trace_names` spells a trace. The type unfolder in
+`decls` and the macro expander in `cppmacro`, whose hide sets are traces,
+run the same monitor. `read_term_at` reads terms from `.lam` files and
+macro token pairs alike; `render_tree` prints terms and `decls`' types
+alike. Terms and programs are immutable, so all values here can be shared
+freely between threads.
 
 `normalize` takes the strategy-first step on a focus machine (a zipper)
 that goes on from the last rewrite, so its work is linear in the steps it
 takes. One search loop serves both strategies: leftmost-outermost tests a
 node on the way down (preorder), leftmost-innermost on the way up
-(postorder). The tests hold it, step by step, to a reference that searches
-the whole term for that redex again (`reference_step` in
-tests/test_calculus.py).
+(postorder). The tests hold it, step by step, to a reference that shares
+no code with it: it searches the whole term for that redex again and
+rebuilds the term from the root (`reference_step` in tests/test_calculus.py).
 """
 from __future__ import annotations
 
@@ -109,11 +110,6 @@ class Program:
     @cached_property
     def def_map(self) -> dict[str, Definition]:
         return {d.name: d for d in self.defs}
-
-
-def _children(t: AnnApp | App) -> tuple:
-    # child 0 is the head, arguments follow
-    return (t.head,) + t.args
 
 
 def _validate(program: Program) -> None:
@@ -210,27 +206,13 @@ def erase(term: AnnTerm) -> Term:
             memo[id(t)] = t
             stack.pop()
             continue
-        pending = [k for k in _children(t) if id(k) not in memo]
+        pending = [k for k in (t.head, *t.args) if id(k) not in memo]
         if pending:
             stack.extend(pending)
             continue
         memo[id(t)] = App(memo[id(t.head)], tuple(memo[id(a)] for a in t.args))
         stack.pop()
     return memo[id(term)]
-
-
-def replace_at(term: AnnTerm, path: Path, sub: AnnTerm) -> AnnTerm:
-    spine: list[AnnApp] = []
-    t = term
-    for i in path:
-        spine.append(t)
-        t = _children(t)[i]
-    new = sub
-    for node, i in zip(reversed(spine), reversed(path)):
-        kids = list(_children(node))
-        kids[i] = new
-        new = AnnApp(kids[0], tuple(kids[1:]), node.trace)
-    return new
 
 
 @dataclass(frozen=True)
@@ -294,7 +276,7 @@ class _Focus:
     Everything before the focus in the strategy's order is known to hold no
     redex, so after a rewrite the search goes on from the rewritten
     position instead of from the root. The whole term is put back together
-    only for `on_step`, in O(depth).
+    only for `on_step`, by folding the frames around the focus in O(depth).
     """
 
     def __init__(self, program: Program, frozen: frozenset[str],
@@ -396,9 +378,11 @@ class _Focus:
         self.focus = annotate(d.body, dict(zip(d.params, node.args)), trace)
         if self.on_step is not None:
             # the term changes only at the focus between two steps
-            path = self._path()
-            after = replace_at(self.term, path, self.focus)
-            self.on_step(self.term, after, Reduced(path, d.name))
+            after = self.focus
+            for node, kids, i, _ in reversed(self.frames):
+                kids = kids[:i] + [after] + kids[i + 1:]
+                after = AnnApp(kids[0], tuple(kids[1:]), node.trace)
+            self.on_step(self.term, after, Reduced(self._path(), d.name))
             self.term = after
         return None
 
@@ -420,13 +404,27 @@ def trace_names(trace: Trace) -> tuple[str, ...]:
     return tuple(reversed(names))
 
 
+def trace_fork(a: Trace, b: Trace) -> tuple[Trace, list, list]:
+    """The lowest node common to the traces `a` and `b`, and the names of
+    each below it, the last expansion first. O(1) from a node to its child
+    or sibling, at most the two depths."""
+    a_names, b_names = [], []
+    while a is not b:
+        if b is None or (a is not None and a[2] >= b[2]):
+            a_names.append(a[1])
+            a = a[0]
+        else:
+            b_names.append(b[1])
+            b = b[0]
+    return a, a_names, b_names
+
+
 class TraceMonitor:
     """The monitor of one walk: it refuses a name already on its trace.
 
     `names` holds the names on `cur`, the trace last entered. A test on
-    another trace first moves `names` there along the trace tree: O(1) to
-    a child or a sibling of the last expansion, at most the two depths.
-    A trace never repeats a name, so leaving a node discards its name."""
+    another trace first moves `names` there by `trace_fork`. A trace never
+    repeats a name, so leaving a node discards its name."""
 
     __slots__ = ("names", "cur")
 
@@ -436,17 +434,10 @@ class TraceMonitor:
 
     def enter(self, trace: Trace, name: str) -> Trace:
         """`trace` extended by `name`, or None when `name` is on it."""
-        cur, names = self.cur, self.names
-        if cur is not trace:
-            entered = []
-            node = trace
-            while cur is not node:
-                if node is None or (cur is not None and cur[2] >= node[2]):
-                    names.discard(cur[1])
-                    cur = cur[0]
-                else:
-                    entered.append(node[1])
-                    node = node[0]
+        names = self.names
+        if self.cur is not trace:
+            _, left, entered = trace_fork(self.cur, trace)
+            names.difference_update(left)
             names.update(entered)
         if name in names:
             self.cur = trace
@@ -566,11 +557,12 @@ def parse_program(text: str, mode: Mode = Mode.FIRST_ORDER) -> Program:
     return Program(tuple(defs), root, mode)
 
 
-def _render(term: Term | AnnTerm, layout: Callable[[App | AnnApp], list]) -> str:
-    """Concatenate `term` on an explicit stack: `layout` spells an
-    application as a list of strings and subterms, in order."""
+def render_tree(tree, layout: Callable[[object], list]) -> str:
+    """Concatenate a term or type `tree` on an explicit stack: a `Var` is
+    its name, and `layout` spells any other node as a list of strings and
+    subtrees, in order."""
     out: list[str] = []
-    stack: list = [term]
+    stack: list = [tree]
     while stack:
         t = stack.pop()
         if isinstance(t, str):
@@ -582,7 +574,7 @@ def _render(term: Term | AnnTerm, layout: Callable[[App | AnnApp], list]) -> str
     return "".join(out)
 
 
-def _arg_list(args: tuple) -> list:
+def arg_list(args: tuple) -> list:
     items: list = ["("]
     for i, a in enumerate(args):
         if i:
@@ -594,18 +586,18 @@ def _arg_list(args: tuple) -> list:
 
 def render_term(term: Term, mode: Mode = Mode.FIRST_ORDER) -> str:
     bare_constants = mode is Mode.FIRST_ORDER
-    return _render(term, lambda t: [t.head] if bare_constants and not t.args
-                   else [t.head, *_arg_list(t.args)])
+    return render_tree(term, lambda t: [t.head] if bare_constants and not t.args
+                       else [t.head, *arg_list(t.args)])
 
 
 def render_ann_term(term: AnnTerm, mode: Mode = Mode.FIRST_ORDER) -> str:
     def layout(t: AnnApp) -> list:
         trace = f"[{','.join(trace_names(t.trace))}]"
         if mode is not Mode.FIRST_ORDER:
-            return [t.head, *_arg_list(t.args), trace]
-        return [t.head, trace, *_arg_list(t.args)] if t.args else [t.head, trace]
+            return [t.head, *arg_list(t.args), trace]
+        return [t.head, trace, *arg_list(t.args)] if t.args else [t.head, trace]
 
-    return _render(term, layout)
+    return render_tree(term, layout)
 
 
 def render_program(program: Program) -> str:

@@ -3,14 +3,16 @@
 Function-like macros only: identifiers, parentheses, commas and opaque
 literal tokens. A token is a `(text, hide)` pair: identifiers and
 parentheses carry a frozenset of macro names that are never re-expanded
-from that token, literals carry None, and every comma is the one `_COMMA`
-object. A macro call adds its own name, intersected between the hide sets
-of the name token and the closing parenthesis, to everything it produces.
-Expansion runs on an explicit stack and expands each actual at most once
-per call. Inside `expand` a non-empty hide set is a calculus trace, a
-linked node, and `calculus.TraceMonitor.enter` both refuses a hidden call
-and adds the called name; frozensets appear only at its boundary. The
-module also provides a harness comparing expansion against monitored
+from that token, literals and commas carry None, and a comma is told by
+its text and its None. A macro call adds its own name, intersected between
+the hide sets of the name token and the closing parenthesis, to everything
+it produces. Expansion runs on an explicit stack and expands each actual
+at most once per call. Inside `expand` a non-empty hide set is a calculus
+trace, a linked node: `calculus.TraceMonitor.enter` both refuses a hidden
+call and adds the called name, and the union and intersection of two hide
+sets walk between them by `calculus.trace_fork`, the walk the monitor
+moves by. Frozensets appear only at the boundary of `expand`. The module
+also provides a harness comparing expansion against monitored
 normalization of the same system encoded as a first-order program, read
 straight from the token pairs.
 """
@@ -23,7 +25,7 @@ from typing import Collection, Iterable, Mapping, Sequence
 
 from . import calculus, syntax
 from .calculus import (Definition, Mode, Program, Strategy, Term, Trace, TraceMonitor,
-                       trace_names)
+                       trace_fork, trace_names)
 from .syntax import Tok
 
 
@@ -45,7 +47,6 @@ class ExpansionBudgetError(MacroError):
 
 Token = tuple  # (identifier or parenthesis, frozenset) or (literal or ",", None)
 TokenSeq = Sequence[Token]
-_COMMA = (",", None)
 _EMPTY: frozenset[str] = frozenset()
 
 # Tokens one `expand` may stamp, summed over its substitutions: an actual
@@ -64,20 +65,6 @@ class MacroDef:
 def hsadd(hide: frozenset[str], tokens: Iterable[Token]) -> TokenSeq:
     """Union `hide` into the hide set of every identifier and parenthesis."""
     return tuple(t if t[1] is None else (t[0], t[1] | hide) for t in tokens)
-
-
-def _fork(a: Trace, b: Trace) -> tuple[Trace, list, list]:
-    """The lowest node common to the traces `a` and `b`, and the names of
-    each below it, the last expansion first."""
-    a_names, b_names = [], []
-    while a is not b:
-        if b is None or (a is not None and a[2] >= b[2]):
-            a_names.append(a[1])
-            a = a[0]
-        else:
-            b_names.append(b[1])
-            b = b[0]
-    return a, a_names, b_names
 
 
 def _body(body: list, formals: tuple[str, ...]) -> list:
@@ -151,14 +138,14 @@ class _Engine:
     def union(self, a: tuple, b: tuple) -> tuple:
         """What the traces `a` or `b` name: `b` when `a` is on its path,
         else `a` extended by the names `b` adds."""
-        _, a_names, b_names = _fork(a, b)
+        _, a_names, b_names = trace_fork(a, b)
         seen = set(a_names)
         return self.extend(a, [n for n in reversed(b_names) if n not in seen]) if a_names else b
 
     def meet(self, a: Trace, b: Trace) -> Trace:
         """What both traces `a` and `b` name: `b` when it is on the path of
         `a`, else their common node extended by the names below it on both."""
-        common, a_names, b_names = _fork(a, b)
+        common, a_names, b_names = trace_fork(a, b)
         both = set(b_names)
         return self.extend(common, [n for n in reversed(a_names) if n in both]) if b_names else b
 
@@ -214,11 +201,8 @@ class _Engine:
                     self.charge(memo[1])
                     acc += memo[0]
                 else:
-                    stack.pop()
-                    result = self.stamp(acc, frame.hide)
-                    if not stack:
-                        return result
-                    stack[-1][0].extend(reversed(result))
+                    stack.pop()  # a substitution sits on the scan that called it
+                    stack[-1][0].extend(reversed(self.stamp(acc, frame.hide)))
                 continue
             work, out = frame
             while work:
@@ -299,7 +283,7 @@ def _split_actuals(work: list, name: str) -> tuple[list[list], frozenset[str]]:
                     actuals.append(work[start - 1:i:-1])
                 del work[i:]
                 return actuals, t[1]
-        elif t is _COMMA and depth == 1:
+        elif text == "," and t[1] is None and depth == 1:
             actuals.append(work[start - 1:i:-1])
             start = i
     raise MalformedCallError(f"unbalanced parentheses in call of {name!r}")
@@ -333,7 +317,7 @@ def _lex(text: str) -> list[Tok]:
 
 
 def _pairs(toks: Iterable[Tok]) -> tuple[Token, ...]:
-    return tuple([_COMMA if t.text == "," else (t.text, None if t.kind == "other" else _EMPTY)
+    return tuple([(",", None) if t.text == "," else (t.text, None if t.kind == "other" else _EMPTY)
                   for t in toks])
 
 

@@ -6,7 +6,8 @@ applications). Unfolding is monitored with per-subterm traces exactly like
 term reduction, so recursive definitions that would unfold forever are
 rejected with a cycle report instead of looping. Accepted declarations get
 a head shape plus, per unboxed constructor, the shape used to dispatch on
-its argument during matching.
+its argument during matching. `render_type` prints a type expression as a
+layout for `calculus.render_tree`, the printer of terms.
 """
 from __future__ import annotations
 
@@ -149,29 +150,17 @@ def make_variant(specs) -> VariantBody:
 
 
 def render_type(ty: TypeExpr, prim_mark: str = "") -> str:
-    """Postfix concrete syntax, `(a, b) name`, built on an explicit stack:
-    types may nest thousands of levels deep. With `prim_mark` in front of
-    each primitive's name, the text also tells primitives from declared types."""
-    out: list[str] = []
-    stack: list = [ty]
-    while stack:
-        t = stack.pop()
-        if t.__class__ is str:
-            out.append(t)
-        elif t.__class__ is TVar:
-            out.append("'" + t.name)
-        else:
-            name = prim_mark + t.name if prim_mark and t.__class__ is PrimApp else t.name
-            if not t.args:
-                out.append(name)
-                continue
-            out.append("(")
-            stack.append(") " + name)
-            for a in reversed(t.args[1:]):  # each later argument follows a comma
-                stack.append(a)
-                stack.append(", ")
-            stack.append(t.args[0])
-    return "".join(out)
+    """Postfix concrete syntax, `(a, b) name`, printed by
+    `calculus.render_tree`: types may nest thousands of levels deep. With
+    `prim_mark` in front of each primitive's name, the text also tells
+    primitives from declared types."""
+    def layout(t: TypeExpr) -> list:
+        if t.__class__ is TVar:
+            return ["'" + t.name]
+        name = prim_mark + t.name if prim_mark and t.__class__ is PrimApp else t.name
+        return [*calculus.arg_list(t.args), " " + name] if t.args else [name]
+
+    return calculus.render_tree(ty, layout)
 
 
 # ---------------------------------------------------------------------------
@@ -663,7 +652,8 @@ def _components(ty: TypeExpr, env: Mapping[str, Decl], memo: dict[str, list]):
 
 
 def normalize_type(ty: TypeExpr, decls: Sequence[Decl], prims: PrimTable | None = None) -> SumNF | Cycle:
-    """Unfold a type into its sum normal form, or report the blocking cycle."""
+    """Unfold a type into its sum normal form, or report the blocking cycle.
+    `prims` is not read; it stays for the callers that pass it."""
     env = {d.name: d for d in decls}
     return _cycle(ty, env, set()) or SumNF(tuple(
         c if where is None else replace(c, via=_via(where))
@@ -861,9 +851,8 @@ def translate_to_program(decls: Sequence[Decl], prims: PrimTable | None = None,
                          root: str | None = None) -> Program:
     """Encode the declarations as mutually recursive definitions over the
     free names `sum`, `box` and the primitive names; the root applies the
-    chosen declaration to its own parameters as free names."""
-    if prims is None:
-        prims = default_prim_table()
+    chosen declaration to its own parameters as free names. `prims` is not
+    read: a primitive is a free name. It stays for the callers that pass it."""
     env = {d.name: d for d in decls}
     for d in decls:
         if d.name in _RESERVED_HEADS:
@@ -930,12 +919,10 @@ def check_lambda_agreement(decls: Sequence[Decl], decl_name: str,
     """Cross-check type normalization against the encoded program: both
     must agree on divergence, and on success the sum components must match
     the normal form read back from the program."""
-    if prims is None:
-        prims = default_prim_table()
     env = {d.name: d for d in decls}
-    program = translate_to_program(decls, prims, root=decl_name)
+    program = translate_to_program(decls, root=decl_name)
     out = calculus.normalize(program, frozen=opaque_heads(decls, prims))
-    tr = normalize_type(self_application(env[decl_name]), decls, prims)
+    tr = normalize_type(self_application(env[decl_name]), decls)
     type_blocks = isinstance(tr, Cycle)
     term_blocks = isinstance(out, calculus.Diverges)
     if type_blocks != term_blocks:

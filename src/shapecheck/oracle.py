@@ -4,9 +4,9 @@ One plain (unmonitored) reduction machine, sharing no code with the
 monitored one it checks, behind fuel-bounded normalization, `plain_steps`
 and the two rejected monitoring strategies (whole-term repetition and
 head-function repetition); value enumeration with representation heads,
-and deterministic random corpus generators for programs, declarations and
-macro systems. Everything is a pure function of its inputs (generators of
-their seed).
+both reading through abbreviations by one loop, and deterministic random
+corpus generators for programs, declarations and macro systems. Everything
+is a pure function of its inputs (generators of their seed).
 """
 from __future__ import annotations
 
@@ -545,6 +545,19 @@ def _subst_type(ty: TypeExpr, sub: Mapping[str, TypeExpr]) -> TypeExpr:
     return built[0]
 
 
+def _unabbreviate(ty: TypeExpr, env: Mapping[str, Decl]) -> TypeExpr:
+    """`ty` with the abbreviations at its head expanded in a loop, so that
+    a chain of thousands of them costs no recursion. A cyclic one stops
+    past 10⁶ expansions, the unfolding budget of `decls`."""
+    limit = 10**6
+    for _ in range(limit):
+        decl = env.get(ty.name) if isinstance(ty, TyApp) else None
+        if decl is None or not isinstance(decl.body, AbbrevBody):
+            return ty
+        ty = _subst_type(decl.body.body, dict(zip(decl.params, ty.args)))
+    raise decl_mod.UnfoldBudgetError(f"more than {limit} abbreviation expansions")
+
+
 def enumerate_values(ty: TypeExpr, decls: Sequence[Decl], depth: int,
                      prims: PrimTable | None = None) -> list[Value]:
     """All values of a closed type up to the given constructor depth.
@@ -556,6 +569,7 @@ def enumerate_values(ty: TypeExpr, decls: Sequence[Decl], depth: int,
     env = {d.name: d for d in decls}
 
     def enum(ty: TypeExpr, depth: int) -> list[Value]:
+        ty = _unabbreviate(ty, env)
         if isinstance(ty, TVar):
             raise decl_mod.UnboundTypeNameError(f"type is not closed: '{ty.name}")
         if isinstance(ty, PrimApp):
@@ -571,14 +585,12 @@ def enumerate_values(ty: TypeExpr, decls: Sequence[Decl], depth: int,
         decl = env.get(ty.name)
         if decl is None:
             raise decl_mod.UnboundTypeNameError(f"unbound type name {ty.name!r}")
-        sub = dict(zip(decl.params, ty.args))
         if isinstance(decl.body, AbstractBody):
             return _head_samples(ty.name, decl.body.shape,
                                  lambda h, _label: OpaqueVal(ty.name, h))
-        if isinstance(decl.body, AbbrevBody):
-            return enum(_subst_type(decl.body.body, sub), depth)
         if depth <= 0:
             return []
+        sub = dict(zip(decl.params, ty.args))
         out: list[Value] = []
         for c in decl.body.ctors:
             fields = [_subst_type(f, sub) for f in c.arg_types]
@@ -602,10 +614,7 @@ def repr_value(v: Value, ty: TypeExpr, decls: Sequence[Decl],
         return RImm(h.value) if isinstance(h, Imm) else RBlock(h.tag)
 
     def go(v: Value, ty: TypeExpr) -> Repr:
-        while (isinstance(ty, TyApp) and ty.name in env
-               and isinstance(env[ty.name].body, AbbrevBody)):
-            decl = env[ty.name]
-            ty = _subst_type(decl.body.body, dict(zip(decl.params, ty.args)))
+        ty = _unabbreviate(ty, env)
         if isinstance(ty, PrimApp):
             entry = prims.get(ty.name)
             if isinstance(v, PrimVal) and v.prim == ty.name:

@@ -68,6 +68,31 @@ class TestParse:
                 assert again.defs == program.defs and again.root == program.root
 
 
+class TestValidate:
+    def test_first_order_head_must_be_a_name(self):
+        root = C.App(C.App(C.Var("f"), ()), ())
+        with pytest.raises(C.MalformedProgramError,
+                           match="^application head must be a name in first-order mode$"):
+            C.Program((), root)
+
+    def test_duplicate_parameter(self):
+        with pytest.raises(C.DuplicateDefinitionError,
+                           match="^duplicate parameter in definition of 'f'$"):
+            C.parse_program("let rec f(x, x) = x in f(a, b)")
+
+    def test_parameter_shadows_a_definition(self):
+        with pytest.raises(C.DuplicateDefinitionError,
+                           match="^parameter 'g' of 'f' shadows a definition$"):
+            C.parse_program("let rec f(g) = g and g(y) = y in f(a)")
+
+    def test_bare_occurrence_of_a_defined_name(self):
+        root = C.App(C.Var("k"), (C.Var("f"),))
+        f = C.Definition("f", ("x",), C.Var("x"))
+        with pytest.raises(C.ArityMismatchError,
+                           match="^'f' expects 1 argument\\(s\\), got a bare occurrence$"):
+            C.Program((f,), root)
+
+
 def spine(term):
     """Names along the first-argument spine; `==` on deep terms recurses."""
     names = []
@@ -246,6 +271,20 @@ def first_redex(program, term, strategy, frozen):
     return None
 
 
+def replace_at(term, path, sub):
+    """`term` with the subterm at `path` replaced by `sub`, rebuilt from the
+    root down the path; child 0 is the head."""
+    spine = []
+    for i in path:
+        spine.append(term)
+        term = ((term.head,) + term.args)[i]
+    for node, i in zip(reversed(spine), reversed(path)):
+        kids = [node.head, *node.args]
+        kids[i] = sub
+        sub = C.AnnApp(kids[0], tuple(kids[1:]), node.trace)
+    return sub
+
+
 def reference_step(program, term, strategy=LO, frozen=frozenset()):
     """One monitored step, found by searching the whole term again: None at
     a normal form, the witness if the trace refuses the redex, otherwise
@@ -260,7 +299,7 @@ def reference_step(program, term, strategy=LO, frozen=frozenset()):
         return C.Blocked(path, name, names)
     d = program.def_map[name]
     body = C.annotate(d.body, dict(zip(d.params, node.args)), (node.trace, name, len(names) + 1))
-    return C.Reduced(path, name), C.replace_at(term, path, body)
+    return C.Reduced(path, name), replace_at(term, path, body)
 
 
 def reference_loop(program, strategy=LO, frozen=frozenset(), max_steps=None):

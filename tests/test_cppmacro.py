@@ -75,6 +75,12 @@ class TestExpand:
         ts = P.tokenize("pick(f(a, b), c)")
         assert P.render_tokens(P.expand(ts, defs)) == "c"
 
+    def test_a_comma_is_told_by_its_text_and_none(self):
+        e = hs()
+        defs = {"m": P.MacroDef("m", ("x", "y"), P.tokenize("y x"))}
+        ts = [("m", e), ("(", e), ("a", e), (",", None), ("b", e), (")", e)]
+        assert P.render_tokens(P.expand(ts, defs)) == "b a"
+
     def test_wrong_arity_is_malformed(self):
         defs = {"m": P.MacroDef("m", ("x", "y"), P.tokenize("x"))}
         with pytest.raises(P.MalformedCallError):
@@ -168,6 +174,9 @@ class TestParseMacroFile:
         with pytest.raises(P.MacroError):
             P.parse_macro_file("#define f(x) x\nf(a))\n")
 
+    def test_duplicate_parameter(self):
+        with pytest.raises(P.MacroError, match="^line 1: duplicate parameter of 'f'$"):
+            P.parse_macro_file("#define f(x, x) x\nf(a, b)\n")
 
     @pytest.mark.parametrize("formals", ["x y", "x,,y", ",", "x,", ",x"])
     def test_malformed_parameter_list(self, formals):

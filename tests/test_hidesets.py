@@ -109,7 +109,7 @@ def rehidden(tokens, names, rng):
     pool = [frozenset(rng.sample(names, rng.randint(0, len(names)))) for _ in range(4)]
     out = []
     for t in tokens:
-        if t[1] is not None:  # literals and the one comma object stay
+        if t[1] is not None:  # literals and commas stay
             t = (t[0], rng.choice(pool) if rng.random() < 0.5 else frozenset(rng.sample(
                 names, rng.randint(0, len(names)))))
         out.append(t)

@@ -432,6 +432,29 @@ class TestEnumerate:
         vals = O.enumerate_values(TyApp("deep", (PrimApp("int"),)), ds, 3)
         assert [O.render_value(v) for v in vals] == ["E"]
 
+    def test_a_long_abbreviation_chain_is_read_without_recursion(self):
+        n = 10_000
+        text = "type a0 = int\n" + "".join(f"type a{i} = a{i - 1}\n" for i in range(1, n + 1))
+        ds = D.parse_decls(text)
+        vals = O.enumerate_values(TyApp(f"a{n}"), ds, 2)
+        assert [O.render_value(v) for v in vals] == ["0", "1"]
+        assert O.repr_value(vals[1], TyApp(f"a{n}"), ds) == O.RImm(1)
+
+    def test_a_cyclic_abbreviation_stops_at_the_budget(self):
+        ds = D.parse_decls("type a = b\ntype b = a\n")
+        with pytest.raises(D.UnfoldBudgetError, match="^more than 1000000 abbreviation expansions$"):
+            O.enumerate_values(TyApp("a"), ds, 2)
+        with pytest.raises(D.UnfoldBudgetError):
+            O.repr_value(O.CtorVal("A", ()), TyApp("a"), ds)
+
+    def test_lazy_adds_the_values_of_its_argument(self):
+        ty = PrimApp("lazy", (PrimApp("bool"),))
+        vals = O.enumerate_values(ty, [], 1)
+        assert [O.render_value(v) for v in vals] == [
+            "<lazy:246>", "<lazy:250>", "<lazy:251>", "true", "false"]
+        assert [O.repr_value(v, ty, []) for v in vals] == [
+            O.RBlock(246), O.RBlock(250), O.RBlock(251), O.RImm(0), O.RImm(1)]
+
 
 class TestRepr:
     def test_true_is_immediate_zero(self):
