@@ -3,10 +3,12 @@
 One plain (unmonitored) reduction machine, sharing no code with the
 monitored one it checks, behind fuel-bounded normalization, `plain_steps`
 and the two rejected monitoring strategies (whole-term repetition and
-head-function repetition); value enumeration with representation heads,
-both reading through abbreviations by one loop, and deterministic random
-corpus generators for programs, declarations and macro systems. Everything
-is a pure function of its inputs (generators of their seed).
+head-function repetition); a first-order outermost fuel run ends at once
+when a redex repeats inside itself, which proves divergence. Value
+enumeration with representation heads, both reading through abbreviations
+by one loop, and deterministic random corpus generators for programs,
+declarations and macro systems. Everything is a pure function of its
+inputs (generators of their seed).
 """
 from __future__ import annotations
 
@@ -245,6 +247,29 @@ def _on_first_call(entry: list, i: int, d: Definition, defs: dict | None):
     return first
 
 
+_SAME_BUDGET = 4096  # node pairs that one run may compare before it stops watching
+
+
+def _same(a, b, budget: int) -> tuple[bool, int]:
+    """Whether two first-order fast terms are equal, and the budget left:
+    identity first, then head and arity, on an explicit stack, since tuple
+    `==` recurses. Each pair costs one; a spent budget answers False."""
+    pairs = [(a, b)]
+    while pairs:
+        if budget == 0:
+            return False, 0
+        budget -= 1
+        a, b = pairs.pop()
+        if type(a) is str or type(b) is str:
+            if a != b:
+                return False, budget
+        elif a is not b:
+            if a[0] != b[0] or len(a[1]) != len(b[1]):
+                return False, budget
+            pairs += zip(a[1], b[1])
+    return True, budget
+
+
 def _plain_run(program: Program, strategy: Strategy, fuel: int,
                observe: Callable | None = None):
     """A zipper to the focus (Huet, "The Zipper", JFP 1997), so that a step
@@ -264,12 +289,32 @@ def _plain_run(program: Program, strategy: Strategy, fuel: int,
     down the body's constructor spine, and without an observer the next
     redex that the body fixes is taken at once, with no test and no walk.
     `observe(name, path, whole term)` sees each redex found before the fuel
-    check; a value other than None ends the run with that value."""
+    check; a value other than None ends the run with that value.
+
+    A first-order outermost run without an observer proves some loops
+    divergent. It saves the redex in focus, with its stack height, when
+    `steps` reaches each power of two (Brent, "An improved Monte Carlo
+    factorization algorithm", BIT 1980), and drops it once the walk goes
+    up to that height, where its subterm is normal. A later redex equal to
+    the saved one ends the run with `OutOfFuel(fuel)`. The proof: in
+    first-order mode a node's redex test reads only its head name and
+    arity, so contracting below a node never makes it a redex. Outermost
+    reduction therefore stays inside the saved redex R's subterm until
+    that subterm is normal, and what it does there depends on the subterm
+    alone. A repeat gives R ->n D[R] with n >= 1, where D has no redex
+    above or left of its hole, so the run goes on from the copy of R as it
+    did from R, forever, and would spend exactly `fuel`. Comparing costs a
+    node pair at a time (`_same`), out of one budget per run; once it is
+    spent, the run stops watching. Higher-order runs are not watched, since
+    there a rewritten head makes its parent a redex; nor are innermost or
+    observed runs."""
     defs = _definitions(program)  # keyed by (name, arity), so a lookup is the whole redex test
     get_def = defs.get
     outermost = strategy is Strategy.LEFTMOST_OUTERMOST
     steps = 0
     normal: tuple = ()  # innermost: the last redex's arguments
+    watch = observe is None and outermost and program.mode is Mode.FIRST_ORDER
+    saved, saved_at, mark, budget = None, -1, 1, _SAME_BUDGET
     focus = _fast(program.root)
     stack: list[tuple] = []
     built: list = []
@@ -304,6 +349,8 @@ def _plain_run(program: Program, strategy: Strategy, fuel: int,
                             break
                 else:
                     return FuelNormal(_unfast(done), steps)
+                if len(stack) <= saved_at:  # the saved redex's subterm is normal
+                    saved, saved_at = None, -1
                 if d is None:
                     continue
             if observe is not None:
@@ -312,22 +359,31 @@ def _plain_run(program: Program, strategy: Strategy, fuel: int,
                 verdict = observe(focus[0], path, _whole(focus, stack, built))
                 if verdict is not None:
                     return verdict
-            if steps >= fuel:
-                return OutOfFuel(steps)
-            steps += 1
-            if not outermost:
-                normal = focus[1]
-                focus = d[1](normal)
-            elif stack and stack[-1][1] == len(built):
-                # a rewritten head: the parent comes first in preorder
-                focus = (d[1](focus[1]), stack.pop()[0][1:])
-            else:
+            if not outermost or stack and stack[-1][1] == len(built):
+                if steps >= fuel:
+                    return OutOfFuel(steps)
+                steps += 1
+                if outermost:  # a rewritten head: the parent comes first in preorder
+                    focus = (d[1](focus[1]), stack.pop()[0][1:])
+                else:
+                    normal = focus[1]
+                    focus = d[1](normal)
+                continue
+            while d is not None:
+                if watch:
+                    if saved is not None:
+                        same, budget = _same(focus, saved, budget)
+                        if same:
+                            return OutOfFuel(fuel)
+                        watch = budget > 0
+                    if steps == mark:
+                        saved, saved_at, mark = focus, len(stack), 2 * mark
+                if steps >= fuel:
+                    return OutOfFuel(steps)
+                steps += 1
                 focus, d = d[0](focus[1], stack, built)
-                while d is not None and observe is None:
-                    if steps >= fuel:
-                        return OutOfFuel(steps)
-                    steps += 1
-                    focus, d = d[0](focus[1], stack, built)
+                if observe is not None:
+                    break
     finally:
         for entry in defs.values():
             entry.clear()

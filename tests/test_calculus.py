@@ -487,6 +487,15 @@ class TestMachineAgainstStep:
         assert (out, log) == reference_loop(program, strategy, frozen)
         assert out.steps == 1 and C.render_term(out.term, HO) == "c(f(k))"
 
+    @pytest.mark.parametrize("strategy", [LO, LI], ids=["outermost", "innermost"])
+    def test_a_bare_frozen_argument_before_a_redex(self, strategy):
+        # only a frozen head stops the search of its arguments
+        program = C.parse_program("let rec f(x) = x in c(k, f(a))", HO)
+        frozen = frozenset({"k"})
+        out, log = machine(program, strategy, frozen)
+        assert (out, log) == reference_loop(program, strategy, frozen)
+        assert out.steps == 1 and C.render_term(out.term, HO) == "c(k, a)"
+
     def test_shared_argument_under_innermost(self):
         program = C.parse_program(
             "let rec f(x) = g(x, x) and g(a, b) = p(b, a) and h(y) = q(y) in f(f(h(k)))")

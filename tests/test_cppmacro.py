@@ -86,6 +86,18 @@ class TestExpand:
         with pytest.raises(P.MalformedCallError):
             P.expand(P.tokenize("m(a)"), defs)
 
+    def test_a_parenthesised_first_actual(self):
+        out, _ = self.expand("#define g(x,y) y x\ng((a),b)\n")
+        assert P.render_tokens(out) == "b ( a )"
+
+    def test_empty_actuals(self):
+        # `f()` passes no actual, where GNU cpp (C99 6.10.3) passes one empty
+        # one; an empty actual is taken only beside a comma
+        with pytest.raises(P.MalformedCallError, match=r"expects 1 argument\(s\), got 0"):
+            self.expand("#define f(x) x\nf()\n")
+        out, _ = self.expand("#define g(x,y) y x\ng(,b)\n")
+        assert P.render_tokens(out) == "b"
+
     def test_unbalanced_call_is_malformed(self):
         defs = {"m": P.MacroDef("m", ("x",), P.tokenize("x"))}
         with pytest.raises(P.MalformedCallError):

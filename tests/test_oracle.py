@@ -1,4 +1,5 @@
 import gc
+import time
 
 import pytest
 
@@ -150,6 +151,42 @@ class TestDescent:
         assert first == p.root and (path, name) == ((1,) * n, "g")
         loop = C.parse_program("let rec f() = " + "c(" * n + "f" + ")" * n + " in f")
         assert O.fuel_normalize(loop, LO, 3) == O.OutOfFuel(3)
+
+
+class TestRepeatedRedex:
+    """A first-order outermost run without an observer ends with
+    `OutOfFuel(fuel)` at once when a redex repeats inside its own subterm."""
+
+    def test_a_repeat_ends_the_run_at_once(self):
+        p = C.parse_program("let rec f() = c(f) in f")
+        start = time.perf_counter()
+        assert O.fuel_normalize(p, LO, 10**9) == O.OutOfFuel(10**9)
+        assert time.perf_counter() - start < 0.5
+
+    @pytest.mark.parametrize("fuel", [100, 100_000])
+    def test_a_growing_loop_is_run_out(self, fuel):
+        # loop(list(...list(int)...)) never repeats
+        assert O.fuel_normalize(C.parse_program(F.LOOP_LAM), LO, fuel) == O.OutOfFuel(fuel)
+
+    def test_a_redex_after_a_normal_subterm_is_no_repeat(self):
+        # w(a) is saved at step 4 and its subterm is c by step 5; z(a) then
+        # reaches w(a) again, outside it
+        p = C.parse_program("let rec s(x) = t(x) and t(x) = u(x) and u(x) = v(x) "
+                            "and v(x) = w(x) and w(x) = c and z(x) = w(x) in p(s(a), z(a))")
+        assert O.fuel_normalize(p, LO, 100) == O.FuelNormal(C.parse_program("p(c, c)").root, 7)
+
+    def test_comparison_is_iterative_and_bounded(self):
+        def chain(n):
+            t = "k"
+            for _ in range(n):
+                t = ("c", (t,))
+            return t
+
+        a, b = chain(10_000), chain(10_000)
+        assert O._same(a, b, 20_000) == (True, 20_000 - 10_001)  # one pair per node
+        assert O._same(a, b, 50) == (False, 0)
+        assert O._same(a, ("c", a[1]), 5) == (True, 3)  # a shared child costs one pair
+        assert O._same(("c", ("k",)), ("c", ("k", "k")), 5) == (False, 4)
 
 
 class TestChainedAgainstObserved:
