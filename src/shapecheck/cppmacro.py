@@ -11,17 +11,18 @@ at most once per call. Inside `expand` a non-empty hide set is a calculus
 trace, a linked node: `calculus.TraceMonitor.enter` both refuses a hidden
 call and adds the called name, and the union and intersection of two hide
 sets walk between them by `calculus.trace_fork`, the walk the monitor
-moves by. Frozensets appear only at the boundary of `expand`. The module
-also provides a harness comparing expansion against monitored
-normalization of the same system encoded as a first-order program, read
-straight from the token pairs.
+moves by. Frozensets appear only at the boundary of `expand`. Every map
+over the hide sets of a sequence is the one loop `_rehide`, which converts
+each distinct set once. The module also provides a harness comparing
+expansion against monitored normalization of the same system encoded as a
+first-order program, read straight from the token pairs.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import groupby
 from operator import attrgetter
-from typing import Collection, Iterable, Mapping, Sequence
+from typing import Callable, Collection, Iterable, Mapping, Sequence
 
 from . import calculus, syntax
 from .calculus import (Definition, Mode, Program, Strategy, Term, Trace, TraceMonitor,
@@ -62,9 +63,41 @@ class MacroDef:
     body: TokenSeq  # hide sets empty
 
 
+def _rehide(tokens: Iterable[Token], convert: Callable) -> list[Token]:
+    """`tokens` with each hide set `h` replaced by `convert(h)`, asked once
+    per distinct set. A token whose set does not change passes through and a
+    literal keeps None; the others become one object per text and new set,
+    so that copies of a sequence cost no new tokens."""
+    # id(h) -> (h, convert(h), the new tokens by text, or None when unchanged);
+    # the entry keeps `h` alive, so its id is not reused while it is a key
+    sets: dict[int, tuple] = {}
+    out = []
+    last = made = None
+    for t in tokens:
+        h = t[1]
+        if h is not last:
+            last = h
+            if h is None:
+                made = None
+            else:
+                entry = sets.get(id(h))
+                if entry is None:
+                    new = convert(h)
+                    entry = sets[id(h)] = (h, new, None if new is h else {})
+                _, new, made = entry
+        if made is None:
+            out.append(t)
+            continue
+        u = made.get(t[0])
+        if u is None:
+            u = made[t[0]] = (t[0], new)
+        out.append(u)
+    return out
+
+
 def hsadd(hide: frozenset[str], tokens: Iterable[Token]) -> TokenSeq:
     """Union `hide` into the hide set of every identifier and parenthesis."""
-    return tuple(t if t[1] is None else (t[0], t[1] | hide) for t in tokens)
+    return tuple(_rehide(tokens, lambda h: h | hide))
 
 
 def _body(body: list, formals: tuple[str, ...]) -> list:
@@ -105,7 +138,6 @@ class _Engine:
         # `trace` alive: each answer is asked for once, and equal paths are
         # one node
         self.answers: dict[tuple[int, str], tuple] = {}
-        self.traces: dict[frozenset[str], tuple] = {}
 
     def charge(self, n: int) -> None:
         self.substs += n
@@ -127,13 +159,9 @@ class _Engine:
         return trace
 
     def inward(self, tokens: Iterable[Token]) -> list:
-        """`tokens` with each hide set as the engine keeps it, one trace per
-        distinct set that is not empty."""
-        traces = self.traces
-        return [t if t[1] is None or t[1] is _EMPTY
-                else (t[0], traces.get(t[1]) or traces.setdefault(
-                    t[1], self.extend(None, sorted(t[1])) or _EMPTY))
-                for t in tokens]
+        """`tokens` with each hide set as the engine keeps it: a trace, or
+        `_EMPTY` for any empty set."""
+        return _rehide(tokens, lambda h: self.extend(None, sorted(h)) or _EMPTY)
 
     def union(self, a: tuple, b: tuple) -> tuple:
         """What the traces `a` or `b` name: `b` when `a` is on its path,
@@ -151,39 +179,16 @@ class _Engine:
 
     def stamp(self, tokens: list, hide: tuple) -> list:
         """`tokens` with the trace `hide` added to every hide set, charged
-        against `_TOKEN_LIMIT`. Each set is united once per call, a union
-        that changes nothing keeps the token, and the tokens it changes
-        become one object per text and set, so that copies of an actual
-        cost no new tokens."""
+        against `_TOKEN_LIMIT`, so that copies of an actual cost no new
+        tokens."""
         self.stamped += len(tokens)
         if self.stamped > _TOKEN_LIMIT:
             raise ExpansionBudgetError(f"more than {_TOKEN_LIMIT} tokens")
-        united: dict[int, tuple] = {}  # id(set) -> (the union, its tokens by text or None)
-        out = []
-        last = made = None
-        for t in tokens:
-            h = t[1]
-            if h is not last:
-                last = h
-                if h is None:
-                    made = None
-                else:
-                    entry = united.get(id(h))
-                    if entry is None:
-                        joined = hide if h is _EMPTY or h is hide[0] else self.union(h, hide)
-                        entry = united[id(h)] = (joined, None if joined is h else {})
-                    joined, made = entry
-            if made is None:
-                out.append(t)
-                continue
-            new = made.get(t[0])
-            if new is None:
-                new = made[t[0]] = (t[0], joined)
-            out.append(new)
-        return out
+        return _rehide(tokens, lambda h: hide if h is _EMPTY or h is hide[0]
+                       else self.union(h, hide))
 
     def run(self, stack: list) -> list:
-        defs, answers, monitor_enter = self.defs, self.answers, self.monitor.enter
+        defs = self.defs
         while True:
             frame = stack[-1]
             if type(frame) is _Subst:
@@ -210,10 +215,7 @@ class _Engine:
                 name, hide = tok
                 if (name in defs and hide is not None
                         and work and work[-1][0] == "(" and work[-1][1] is not None):
-                    answer = answers.get((id(hide), name))  # `self.enter`, inlined
-                    if answer is None:
-                        answer = answers[id(hide), name] = (hide, monitor_enter(hide or None, name))
-                    called = answer[1]  # None when `name` is hidden
+                    called = self.enter(hide or None, name)  # None when `name` is hidden
                     if called is None:
                         out.append(tok)
                         continue
@@ -242,32 +244,10 @@ class _Engine:
                 waiting.acc += out
 
 
-def _frozen(tokens: list) -> list[Token]:
-    """`tokens` with each trace a frozenset again, one per distinct trace.
-    Tokens of equal text and trace become one object, so that a long output
-    allocates only its distinct tokens."""
-    sets: dict[int, tuple[frozenset[str], dict[str, Token]]] = {}  # `tokens` keeps each id
-    out = []
-    last = made = None
-    for t in tokens:
-        h = t[1]
-        if h is None or h is _EMPTY:
-            out.append(t)
-            continue
-        if h is not last:
-            last = h
-            hide, made = sets.get(id(h)) or sets.setdefault(id(h), (frozenset(trace_names(h)), {}))
-        new = made.get(t[0])
-        if new is None:
-            new = made[t[0]] = (t[0], hide)
-        out.append(new)
-    return out
-
-
-def _split_actuals(work: list, name: str) -> tuple[list[list], frozenset[str]]:
+def _split_actuals(work: list, name: str) -> tuple[list[list], tuple | frozenset[str]]:
     """Consume `( actual , ... )` from the end of the reversed `work`,
     splitting at top-level commas only; return the actuals and the hide set
-    of the closing parenthesis."""
+    of the closing parenthesis as the engine keeps it, a trace or `_EMPTY`."""
     depth = 1
     actuals: list[list] = []
     start = len(work) - 1  # the opening parenthesis
@@ -300,7 +280,8 @@ def expand(tokens: Iterable[Token], defs: Mapping[str, MacroDef],
     engine = _Engine(defs, budget)
     work = engine.inward(tokens)
     work.reverse()
-    return _frozen(engine.run([(work, [])]))
+    out = engine.run([(work, [])])
+    return _rehide(out, lambda h: h if h is _EMPTY else frozenset(trace_names(h)))
 
 
 # ---------------------------------------------------------------------------

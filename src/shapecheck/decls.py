@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import reduce
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from . import calculus, syntax
 from .calculus import App, Mode, Program, Definition, Term, Var
@@ -27,7 +27,6 @@ from .shapes import (
     OpaqueComponent,
     PrimComponent,
     PrimTable,
-    ShapeContext,
     VarComponent,
     component_shape,
     default_prim_table,
@@ -205,14 +204,15 @@ class _DeclParser(syntax.Cursor):
 
     # -- type expressions
 
-    def type_expr(self, allow_star: bool = False) -> TypeExpr:
+    def type_expr(self) -> TypeExpr:
         """An atom (a type variable, a type name, a parenthesized type or
-        argument list), then postfix type names, then, where `allow_star`,
-        `* type` parts. Read on an explicit stack of frames `[allow_star,
-        items before a comma, parts before a star, the first star]`, one for
-        the whole type and one per open `(`; the position is kept in a local."""
+        argument list), then postfix type names, then, inside parentheses
+        only, `* type` parts: a star after the whole type is the caller's.
+        Read on an explicit stack of frames `[stars allowed, items before a
+        comma, parts before a star, the first star]`, one for the whole type
+        and one per open `(`; the position is kept in a local."""
         toks, pos = self.toks, self.pos
-        frames: list[list] = [[allow_star, [], [], None]]
+        frames: list[list] = [[False, [], [], None]]
         while True:
             t = toks[pos]
             pos += 1
@@ -272,7 +272,7 @@ class _DeclParser(syntax.Cursor):
         while True:
             self.expect_kind("lident", "a field name")
             self.expect(":")
-            fields.append(self.type_expr(allow_star=False))
+            fields.append(self.type_expr())
             if self.peek().text == ";":
                 self.next()
                 if self.peek().text == "}":
@@ -290,10 +290,10 @@ class _DeclParser(syntax.Cursor):
             if self.peek().text == "{":
                 fields = self.record_fields()
             else:
-                parts = [self.type_expr(allow_star=False)]
+                parts = [self.type_expr()]
                 while self.peek().text == "*":
                     self.next()
-                    parts.append(self.type_expr(allow_star=False))
+                    parts.append(self.type_expr())
                 fields = tuple(parts)
         attrs = self.attrs()
         unboxed = attrs.pop("unboxed", False)
@@ -345,7 +345,7 @@ class _DeclParser(syntax.Cursor):
                     self.next()
                     raw_ctors.append(self.ctor())
             return Decl(name.text, tuple(params), _RawVariant(tuple(raw_ctors))), name
-        body = self.type_expr(allow_star=False)
+        body = self.type_expr()
         return Decl(name.text, tuple(params), AbbrevBody(body)), name
 
 
@@ -660,7 +660,8 @@ def normalize_type(ty: TypeExpr, decls: Sequence[Decl], prims: PrimTable | None 
         for c, where in _components(ty, env, {})))
 
 
-def _disjoint_union(pairs, ctx: ShapeContext, by_first: dict | None = None) -> HeadShape | ConflictWitness | Cycle:
+def _disjoint_union(pairs, prims: PrimTable, type_shape: Callable | None,
+                    by_first: dict | None = None) -> HeadShape | ConflictWitness | Cycle:
     """Disjointly union the shapes of `(component, where)` pairs, stopping at
     the first conflict; with `by_first`, also collect the shapes per first
     `via` label. Overlap distributes over union, so each shape is tested
@@ -668,7 +669,7 @@ def _disjoint_union(pairs, ctx: ShapeContext, by_first: dict | None = None) -> H
     done: list = []
     acc = EMPTY_SHAPE
     for comp, where in pairs:
-        s = component_shape(comp, ctx)
+        s = component_shape(comp, prims, type_shape)
         if not isinstance(s, HeadShape):
             return s
         union = shape_disjoint_union(acc, s)
@@ -687,10 +688,11 @@ def _disjoint_union(pairs, ctx: ShapeContext, by_first: dict | None = None) -> H
     return acc
 
 
-def shape_of_snf(snf: SumNF, ctx: ShapeContext) -> HeadShape | ConflictWitness | Cycle:
+def shape_of_snf(snf: SumNF, prims: PrimTable,
+                 type_shape: Callable | None = None) -> HeadShape | ConflictWitness | Cycle:
     """Disjointly union the component shapes; a conflict is a value, and so
     is a conflict or cycle met in a lazy-like argument."""
-    return _disjoint_union(((c, None) for c in snf.components), ctx)
+    return _disjoint_union(((c, None) for c in snf.components), prims, type_shape)
 
 
 def _union_of(ty: TypeExpr, env: Mapping[str, Decl], free: set[str], memo: dict, prims: PrimTable,
@@ -699,8 +701,8 @@ def _union_of(ty: TypeExpr, env: Mapping[str, Decl], free: set[str], memo: dict,
     anywhere in the unfolding takes precedence over a conflict and over what
     a lazy-like argument gives, so the unfolding is walked for cycles first."""
     return _cycle(ty, env, free) or _disjoint_union(
-        _components(ty, env, memo),
-        ShapeContext(prims, lambda t: _shape(t, env, free, memo, prims, seen)), by_first)
+        _components(ty, env, memo), prims,
+        lambda t: _shape(t, env, free, memo, prims, seen), by_first)
 
 
 def _shape(ty: TypeExpr, env: Mapping[str, Decl], free: set[str], memo: dict, prims: PrimTable,

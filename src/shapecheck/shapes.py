@@ -309,18 +309,10 @@ def describe_component(comp: Component, via: tuple[str, ...]) -> str:
     return base
 
 
-@dataclass(frozen=True)
-class ShapeContext:
-    """What component shapes may depend on: the primitive table and, for
-    lazy-like primitives, a resolver from type expressions to shapes. A
-    resolver result that is not a shape (a conflict or a cycle) is passed
-    through as the component's result."""
-
-    prims: PrimTable
-    type_shape: Callable | None = None
-
-
-def component_shape(comp: Component, ctx: ShapeContext) -> HeadShape:
+def component_shape(comp: Component, prims: PrimTable,
+                    type_shape: Callable | None = None) -> HeadShape:
+    """The component's head shape. A lazy-like primitive adds the shapes that
+    `type_shape` gives its arguments, and passes a conflict or cycle through."""
     if isinstance(comp, VarComponent):
         return TOP_SHAPE
     if isinstance(comp, CtorComponent):
@@ -329,15 +321,15 @@ def component_shape(comp: Component, ctx: ShapeContext) -> HeadShape:
         return HeadShape(frozenset(), frozenset({comp.index}))
     if isinstance(comp, OpaqueComponent):
         return comp.shape
-    entry = comp.prim in ctx.prims and ctx.prims[comp.prim]
+    entry = comp.prim in prims and prims[comp.prim]
     if not entry:
         raise UnknownPrimitiveError(f"unknown primitive {comp.prim!r}")
     shape = entry.shape
     if entry.lazylike:
-        if ctx.type_shape is None:
+        if type_shape is None:
             raise ValueError(f"primitive {comp.prim!r} needs a type-shape resolver")
         for arg in comp.args:
-            arg_shape = ctx.type_shape(arg)
+            arg_shape = type_shape(arg)
             if not isinstance(arg_shape, HeadShape):
                 return arg_shape
             shape = shape_union(shape, arg_shape)

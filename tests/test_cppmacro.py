@@ -32,6 +32,14 @@ class TestHsadd:
         assert ts == (("42", None), (",", None))
         assert P.hsadd(hs("f"), ts) == ts
 
+    def test_a_generator_of_fresh_sets(self):
+        # each set is freed once its token is read, so its id may come back
+        # for a later set; a union must never be taken for a set it was not
+        # asked of
+        names = [f"x{i}" for i in range(300)]
+        got = P.hsadd(hs("f"), ((n, hs(n, names[i - 1])) for i, n in enumerate(names)))
+        assert got == tuple((n, hs("f", n, names[i - 1])) for i, n in enumerate(names))
+
 
 class TestExpand:
     def expand(self, text):
@@ -80,6 +88,13 @@ class TestExpand:
         defs = {"m": P.MacroDef("m", ("x", "y"), P.tokenize("y x"))}
         ts = [("m", e), ("(", e), ("a", e), (",", None), ("b", e), (")", e)]
         assert P.render_tokens(P.expand(ts, defs)) == "b a"
+
+    def test_any_empty_set_enters_as_the_engine_empty_set(self):
+        fresh = hs("a") - {"a"}
+        assert fresh is not P._EMPTY
+        got = P._Engine({}, 1).inward([("x", fresh), ("(", P._EMPTY), ("1", None)])
+        assert [h for _, h in got] == [P._EMPTY, P._EMPTY, None]
+        assert got[0][1] is P._EMPTY
 
     def test_wrong_arity_is_malformed(self):
         defs = {"m": P.MacroDef("m", ("x", "y"), P.tokenize("x"))}

@@ -91,6 +91,15 @@ class TestParse:
             D.PrimApp("tuple", (D.PrimApp("int"), D.PrimApp("string"))),
         )
 
+    @pytest.mark.parametrize("text, message", [
+        ("type t = int * int", "1:14: expected 'type', found '*'"),
+        ("type t = A of { a: int * int }", "1:24: expected '}', found '*'"),
+    ])
+    def test_star_outside_parens_is_no_tuple(self, text, message):
+        with pytest.raises(D.DeclSyntaxError) as e:
+            D.parse_decls(text)
+        assert str(e.value) == message
+
     def test_constructor_indices_skip_unboxed(self):
         (d,) = D.parse_decls(
             "type t = A | B of int [@unboxed] | C of int | D | E of string"
@@ -271,27 +280,27 @@ class TestDeepTypes:
 
 class TestShapeOfSnf:
     def ctx(self, ds):
-        return S.ShapeContext(S.default_prim_table(), lambda ty: D.shape_of_type(ty, ds))
+        return S.default_prim_table(), lambda ty: D.shape_of_type(ty, ds)
 
     def test_zarith(self):
         ds = D.parse_decls(F.ZARITH_DECL)
         nf = D.normalize_type(D.TyApp("zarith"), ds)
-        assert D.shape_of_snf(nf, self.ctx(ds)) == shape("top", {255})
+        assert D.shape_of_snf(nf, *self.ctx(ds)) == shape("top", {255})
 
     def test_clash_witness(self):
         ds = D.parse_decls(F.CLASH_DECL)
         nf = D.normalize_type(D.TyApp("clash"), ds)
-        w = D.shape_of_snf(nf, self.ctx(ds))
+        w = D.shape_of_snf(nf, *self.ctx(ds))
         assert isinstance(w, S.ConflictWitness)
         assert w.side == "imm" and w.value is None
 
     def test_empty_sum(self):
-        assert D.shape_of_snf(D.SumNF(()), self.ctx([])) == S.EMPTY_SHAPE
+        assert D.shape_of_snf(D.SumNF(()), *self.ctx([])) == S.EMPTY_SHAPE
 
     def test_cycle_in_a_lazy_like_argument_is_a_value(self):
         ds = D.parse_decls(F.LOOP_DECL + "type t = L of ((loop) lazy) [@unboxed]")
         nf = D.normalize_type(D.TyApp("t"), ds)
-        assert D.shape_of_snf(nf, self.ctx(ds)) == D.Cycle("loop", ("loop",))
+        assert D.shape_of_snf(nf, *self.ctx(ds)) == D.Cycle("loop", ("loop",))
 
 
 class TestCheckDecls:
