@@ -3,8 +3,9 @@
 One plain (unmonitored) reduction machine, sharing no code with the
 monitored one it checks, behind fuel-bounded normalization, `plain_steps`
 and the two rejected monitoring strategies (whole-term repetition and
-head-function repetition); a first-order outermost fuel run ends at once
-when a redex repeats inside itself, which proves divergence. Value
+head-function repetition); an outermost fuel run ends at once when a
+redex repeats inside itself (first-order) or a chain of compiled descents
+comes back to a definition, either of which proves divergence. Value
 enumeration with representation heads, both reading through abbreviations
 by one loop, and deterministic random corpus generators for programs,
 declarations and macro systems. Everything is a pure function of its
@@ -307,7 +308,17 @@ def _plain_run(program: Program, strategy: Strategy, fuel: int,
     node pair at a time (`_same`), out of one budget per run; once it is
     spent, the run stops watching. Higher-order runs are not watched, since
     there a rewritten head makes its parent a redex; nor are innermost or
-    observed runs."""
+    observed runs.
+
+    Any run without an observer, in either mode, also ends with
+    `OutOfFuel(fuel)` once one unbroken pass of the chained loop has made
+    `len(defs)` contractions and still holds an entry. The proof reads only
+    the machine: the entry that a descent returns is a constant of its
+    compiled code, so in a pass each entry is a fixed function of the one
+    before. Of the pass's `len(defs) + 1` entries two are then equal
+    (pigeonhole), so the entries cycle and are never None, and only the
+    fuel, or the repeat proof, ends the pass: the run would spend exactly
+    `fuel`. An observed run leaves the loop after one descent."""
     defs = _definitions(program)  # keyed by (name, arity), so a lookup is the whole redex test
     get_def = defs.get
     outermost = strategy is Strategy.LEFTMOST_OUTERMOST
@@ -369,7 +380,11 @@ def _plain_run(program: Program, strategy: Strategy, fuel: int,
                     normal = focus[1]
                     focus = d[1](normal)
                 continue
+            left = len(defs)
             while d is not None:
+                if not left:  # some entry has repeated: the chain never ends
+                    return OutOfFuel(fuel)
+                left -= 1
                 if watch:
                     if saved is not None:
                         same, budget = _same(focus, saved, budget)
@@ -943,21 +958,20 @@ def run_measure_suite(seed: int = 2024, count: int = 500) -> SuiteResult:
     return result
 
 
-def _correctness_chunk(args: tuple) -> tuple[int, list[str]]:
+def _correctness_chunk(programs: Sequence[Program], fuel: int) -> SuiteResult:
     """Normal forms are compared by their spellings, since dataclass `==`
     recurses on a deep term; the higher-order spelling writes the
     parentheses of every application, so equal spellings mean equal terms.
     The plain runs build only acyclic tuples, so a cyclic collection frees
     nothing they allocate, yet its scans of the growing term take over
-    half of their time: the collector is paused for the chunk and its
-    previous state restored, also when the chunk raises."""
-    programs, offset, fuel = args
+    half of their time: the collector is paused for the programs and its
+    previous state restored, also when a check raises."""
     checked = 0
     failures: list[str] = []
     was_enabled = gc.isenabled()
     gc.disable()
     try:
-        for pi, program in enumerate(programs, start=offset):
+        for pi, program in enumerate(programs):
             for strategy in (Strategy.LEFTMOST_OUTERMOST, Strategy.LEFTMOST_INNERMOST):
                 outcome = calculus.normalize(program, strategy)
                 checked += 1
@@ -977,32 +991,15 @@ def _correctness_chunk(args: tuple) -> tuple[int, list[str]]:
     finally:
         if was_enabled:
             gc.enable()
-    return checked, failures
+    return SuiteResult("monitored vs fuel", checked, failures)
 
 
-def run_correctness_suite(seed: int = 77, count: int = 1000, fuel: int = 100_000,
-                          workers: int | None = None) -> SuiteResult:
+def run_correctness_suite(seed: int = 77, count: int = 1000, fuel: int = 100_000) -> SuiteResult:
     """Monitored normalization terminates; its normal forms match plain
     fuel-bounded reduction, and its divergence verdicts leave plain
-    leftmost-outermost reduction out of fuel. Programs are independent, so
-    they may be checked by several worker processes."""
+    leftmost-outermost reduction out of fuel."""
     _check_fuel(fuel)
-    result = SuiteResult("monitored vs fuel", 0)
-    programs = gen_programs(seed, GenParams(count=count))
-    if workers is None or workers <= 1:
-        chunks = [(programs, 0, fuel)]
-        outcomes = map(_correctness_chunk, chunks)
-    else:
-        import multiprocessing
-
-        size = 8  # small chunks so stragglers spread across workers
-        chunks = [(programs[i:i + size], i, fuel) for i in range(0, len(programs), size)]
-        with multiprocessing.Pool(workers) as pool:
-            outcomes = pool.map(_correctness_chunk, chunks, chunksize=1)
-    for checked, failures in outcomes:
-        result.checked += checked
-        result.failures.extend(failures)
-    return result
+    return _correctness_chunk(gen_programs(seed, GenParams(count=count)), fuel)
 
 
 def run_macro_agreement_suite(seed: int = 4242, count: int = 500) -> SuiteResult:

@@ -141,7 +141,7 @@ def test_criterion_3_measure_monotonicity():
 
 def test_criterion_4_correctness_harness():
     t0 = time.time()
-    result = O.run_correctness_suite(seed=77, count=1000, fuel=100_000, workers=2)
+    result = O.run_correctness_suite(seed=77, count=1000, fuel=100_000)
     assert result.checked == 2000
     assert result.ok, result.failures[:5]
     report(4, "monitored verdicts agree with fuel-bounded reduction on 1000 programs",

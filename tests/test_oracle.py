@@ -189,6 +189,48 @@ class TestRepeatedRedex:
         assert O._same(("c", ("k",)), ("c", ("k", "k")), 5) == (False, 4)
 
 
+class TestDescentCycle:
+    """A run without an observer ends with `OutOfFuel(fuel)` at once when
+    one unbroken pass of the chained loop contracts more redexes than the
+    program has definitions, in either mode, though the term grows."""
+
+    def test_a_growing_root_is_proved_divergent_at_once(self):
+        # f0(x, y) = f0(f0(k(y, k), f0(y, c2)), x): no redex ever repeats
+        p = O.gen_programs(43, O.GenParams(count=40))[28]
+        start = time.perf_counter()
+        assert O.fuel_normalize(p, LO, 10**9) == O.OutOfFuel(10**9)
+        assert time.perf_counter() - start < 0.5
+
+    @pytest.mark.parametrize("mode", list(C.Mode))
+    @pytest.mark.parametrize("text", ["let rec f(x) = c(f(k(x))) in f(a)",
+                                      "let rec f(x) = c(g(k(x))) and g(y) = f(y) in f(a)"])
+    def test_a_cycle_of_descents(self, text, mode):
+        p = C.parse_program(text, mode)
+        for fuel in (1, 2, 3, 4, 5, 10**9):
+            assert O.fuel_normalize(p, LO, fuel) == O.OutOfFuel(fuel)
+
+    @pytest.mark.parametrize("program", [
+        # f2(x, y) = c2(c1, f0(...)): each pass ends at the normal c1
+        O.gen_programs(77, O.GenParams(count=1000))[926],
+        # three passes of two contractions each, then normal
+        C.parse_program("let rec f(x) = c(g, x) and g() = d in f(f(f(k)))"),
+    ])
+    def test_a_chain_that_leaves_the_loop_spends_its_fuel_exactly(self, program):
+        observed = O._plain_run(program, LO, 400, observe=lambda *a: None)
+        for fuel in range(1, 401):
+            want = observed if isinstance(observed, O.FuelNormal) and observed.steps <= fuel \
+                else O.OutOfFuel(fuel)
+            assert O.fuel_normalize(program, LO, fuel) == want
+
+    def test_a_descent_returns_one_entry_object(self):
+        # the proof's premise: a definition's descent always returns the same entry
+        descend = compiled("let rec f(x) = c(g(k(x))) and g(y) = f(y) in f(a)", "f",
+                           descent=True)
+        first = descend((("a", ()),), [], [])[1]
+        assert first is not None
+        assert all(descend(((f"b{i}", ()),), [], [])[1] is first for i in range(3))
+
+
 class TestChainedAgainstObserved:
     """`fuel_normalize` runs without an observer, so it chains the known
     redexes of outermost descents; an observed run, as in `plain_steps`,
@@ -333,7 +375,8 @@ class TestCollectorPause:
         text = "\n".join(["let rec f0(x) = c(x)"]
                          + [f"and f{i}(x) = f{i - 1}(f{i - 1}(x))" for i in range(1, n + 1)]
                          + [f"in f{n}(k)"])
-        assert O._correctness_chunk(([C.parse_program(text)], 0, 100_000)) == (2, [])
+        result = O._correctness_chunk([C.parse_program(text)], 100_000)
+        assert result.checked == 2 and result.ok
 
 
 def plain_spelling(term):
