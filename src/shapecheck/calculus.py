@@ -11,7 +11,8 @@ walk between two traces; `trace_names` spells a trace. The type unfolder in
 run the same monitor. `read_term_at` reads terms from `.lam` files and
 macro token pairs alike; `render_tree` prints terms and `decls`' types
 alike. Terms and programs are immutable, so all values here can be shared
-freely between threads.
+freely between threads; terms are `nodes.Node`s, which compare and hash
+without recursion.
 
 `normalize` takes the strategy-first step on a focus machine (a zipper)
 that goes on from the last rewrite, so its work is linear in the steps it
@@ -29,6 +30,7 @@ from functools import cached_property
 from typing import Callable, Collection, Mapping, Sequence
 
 from . import syntax
+from .nodes import Node, setters
 
 
 class Mode(Enum):
@@ -65,28 +67,54 @@ Trace = tuple | None  # a linked node `(parent, name, depth)`; None is the empty
 Path = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+class Var(Node):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        _var_name(self, name)
+
+    def _leaves(self) -> tuple:
+        return (self.name,)
 
 
-@dataclass(frozen=True)
-class App:
-    head: "Term"
-    args: tuple["Term", ...] = ()
+class App(Node):
+    __slots__ = ("head", "args")
+
+    def __init__(self, head: Term, args: tuple[Term, ...] = ()):
+        _app_head(self, head)
+        _app_args(self, args)
+
+    def _kids(self) -> tuple:
+        return (self.head, *self.args)
 
 
 Term = Var | App
 
 
-@dataclass(frozen=True)
-class AnnApp:
-    """Application node annotated with the trace that produced it."""
+class AnnApp(Node):
+    """Application node annotated with the trace that produced it. Its
+    hash leaves the trace out."""
 
-    head: "AnnTerm"
-    args: tuple["AnnTerm", ...]
-    trace: Trace
+    __slots__ = ("head", "args", "trace")
 
+    def __init__(self, head: AnnTerm, args: tuple[AnnTerm, ...], trace: Trace):
+        _ann_head(self, head)
+        _ann_args(self, args)
+        _ann_trace(self, trace)
+
+    def _kids(self) -> tuple:
+        return (self.head, *self.args)
+
+    def _matches(self, other: AnnApp) -> bool:
+        # the traces spell the same names below their lowest common node;
+        # tuple `==` would recurse once per trace node
+        _, mine, theirs = trace_fork(self.trace, other.trace)
+        return mine == theirs
+
+
+(_var_name,) = setters(Var)
+_app_head, _app_args = setters(App)
+_ann_head, _ann_args, _ann_trace = setters(AnnApp)
 
 AnnTerm = Var | AnnApp
 
@@ -194,25 +222,30 @@ def annotate(term: Term, subst: Mapping[str, AnnTerm], trace: Trace) -> AnnTerm:
 
 
 def erase(term: AnnTerm) -> Term:
-    """Strip all traces, preserving structure."""
+    """Strip all traces, preserving structure and sharing. Runs on an
+    explicit stack like `annotate`: an application pushes itself in a
+    1-tuple, then its children, and the 1-tuple, once popped, gathers the
+    built children off `built`; a node met again is taken from `memo`."""
     memo: dict[int, Term] = {}
-    stack = [term]
+    built: list[Term] = []
+    stack: list = [term]
     while stack:
-        t = stack[-1]
-        if id(t) in memo:
-            stack.pop()
-            continue
-        if isinstance(t, Var):
-            memo[id(t)] = t
-            stack.pop()
-            continue
-        pending = [k for k in (t.head, *t.args) if id(k) not in memo]
-        if pending:
-            stack.extend(pending)
-            continue
-        memo[id(t)] = App(memo[id(t.head)], tuple(memo[id(a)] for a in t.args))
-        stack.pop()
-    return memo[id(term)]
+        t = stack.pop()
+        if t.__class__ is tuple:
+            (t,) = t
+            first = len(built) - len(t.args)
+            node = memo[id(t)] = App(built[first - 1], tuple(built[first:]))
+            del built[first - 1:]
+            built.append(node)
+        elif isinstance(t, Var):
+            built.append(t)
+        elif id(t) in memo:
+            built.append(memo[id(t)])
+        else:
+            stack.append((t,))
+            stack.extend(reversed(t.args))
+            stack.append(t.head)
+    return built[0]
 
 
 @dataclass(frozen=True)

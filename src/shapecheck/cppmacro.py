@@ -466,10 +466,7 @@ def compare_first_order(defs: Mapping[str, MacroDef], call: TokenSeq) -> Agreeme
     if blocked:
         return AgreementReport(False, "mismatch", cpp_text, calc_text,
                                "normalization finished but expansion blocked")
-    expanded_term = read_term(expanded, "the expansion") if expanded else None
-    # `!=` on terms recurses once per nesting level; in a first-order system
-    # every name on both sides is an application, so renderings compare exactly
-    if expanded_term is None or calculus.render_term(expanded_term) != calc_text:
+    if not expanded or read_term(expanded, "the expansion") != outcome.term:
         return AgreementReport(False, "mismatch", cpp_text, calc_text,
                                "expanded output differs from the normal form")
     return AgreementReport(True, "normalized", cpp_text, calc_text,

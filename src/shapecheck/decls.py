@@ -17,6 +17,7 @@ from typing import Callable, Mapping, Sequence
 
 from . import calculus, syntax
 from .calculus import App, Mode, Program, Definition, Term, Var
+from .nodes import Node, setters
 from .shapes import (
     EMPTY_SHAPE,
     TOP_SHAPE,
@@ -73,22 +74,43 @@ class DeclNotAcceptedError(DeclError):
 # Type expressions and declarations
 
 
-@dataclass(frozen=True)
-class TVar:
-    name: str
+class TVar(Node):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        _tvar_name(self, name)
+
+    def _leaves(self) -> tuple:
+        return (self.name,)
 
 
-@dataclass(frozen=True)
-class TyApp:
-    name: str
-    args: tuple["TypeExpr", ...] = ()
+class _Named(Node):
+    """A named type applied to arguments: `TyApp` for a declared type,
+    `PrimApp` for a primitive."""
+
+    __slots__ = ("name", "args")
+
+    def __init__(self, name: str, args: tuple[TypeExpr, ...] = ()):
+        _named_name(self, name)
+        _named_args(self, args)
+
+    def _leaves(self) -> tuple:
+        return (self.name,)
+
+    def _kids(self) -> tuple:
+        return self.args
 
 
-@dataclass(frozen=True)
-class PrimApp:
-    name: str
-    args: tuple["TypeExpr", ...] = ()
+class TyApp(_Named):
+    __slots__ = ()
 
+
+class PrimApp(_Named):
+    __slots__ = ()
+
+
+(_tvar_name,) = setters(TVar)
+_named_name, _named_args = setters(_Named)
 
 TypeExpr = TVar | TyApp | PrimApp
 
@@ -148,16 +170,13 @@ def make_variant(specs) -> VariantBody:
     return VariantBody(tuple(ctors))
 
 
-def render_type(ty: TypeExpr, prim_mark: str = "") -> str:
+def render_type(ty: TypeExpr) -> str:
     """Postfix concrete syntax, `(a, b) name`, printed by
-    `calculus.render_tree`: types may nest thousands of levels deep. With
-    `prim_mark` in front of each primitive's name, the text also tells
-    primitives from declared types."""
+    `calculus.render_tree`: types may nest thousands of levels deep."""
     def layout(t: TypeExpr) -> list:
         if t.__class__ is TVar:
             return ["'" + t.name]
-        name = prim_mark + t.name if prim_mark and t.__class__ is PrimApp else t.name
-        return [*calculus.arg_list(t.args), " " + name] if t.args else [name]
+        return [*calculus.arg_list(t.args), " " + t.name] if t.args else [t.name]
 
     return calculus.render_tree(ty, layout)
 
@@ -166,12 +185,22 @@ def render_type(ty: TypeExpr, prim_mark: str = "") -> str:
 # Parsing
 
 
-@dataclass(frozen=True)
-class _RawRef:
-    name: str
-    args: tuple
-    line: int
-    col: int
+class _RawRef(_Named):
+    """A type reference as read, before `TyApp` and `PrimApp` are told apart."""
+
+    __slots__ = ("line", "col")
+
+    def __init__(self, name: str, args: tuple, line: int, col: int):
+        _named_name(self, name)
+        _named_args(self, args)
+        _raw_line(self, line)
+        _raw_col(self, col)
+
+    def _leaves(self) -> tuple:
+        return (self.name, self.line, self.col)
+
+
+_raw_line, _raw_col = setters(_RawRef)
 
 
 _SCAN = syntax.scanner(
@@ -707,13 +736,12 @@ def _union_of(ty: TypeExpr, env: Mapping[str, Decl], free: set[str], memo: dict,
 
 def _shape(ty: TypeExpr, env: Mapping[str, Decl], free: set[str], memo: dict, prims: PrimTable,
            seen: frozenset) -> HeadShape | ConflictWitness | Cycle:
-    key = render_type(ty, "#")  # a text: dataclass hashing recurses per nesting level
-    if key in seen:
+    if ty in seen:
         return TOP_SHAPE  # shape-level recursion through a lazy-like argument
     if len(seen) >= _LAZY_NESTING_LIMIT:
         raise LazyNestingError(
             f"lazy-like arguments nest more than {_LAZY_NESTING_LIMIT} levels deep")
-    return _union_of(ty, env, free, memo, prims, seen | {key})
+    return _union_of(ty, env, free, memo, prims, seen | {ty})
 
 
 def shape_of_type(ty: TypeExpr, decls: Sequence[Decl], prims: PrimTable | None = None) -> HeadShape | ConflictWitness | Cycle:

@@ -13,6 +13,7 @@ from functools import cache
 from importlib import resources
 from typing import Callable, Mapping
 
+from .nodes import Frozen, setters
 from .syntax import Cursor, SourceError, lex, scanner
 
 
@@ -25,6 +26,9 @@ class _Top:
 
     def __repr__(self) -> str:
         return "top"
+
+    def __reduce__(self) -> str:
+        return "TOP"  # copies and unpickles to the one wildcard
 
 
 TOP = _Top()
@@ -51,18 +55,18 @@ def _sub(value) -> SubShape:
     return frozenset(value)
 
 
-@dataclass(frozen=True)
-class HeadShape:
-    imm: SubShape
-    block: SubShape
+class HeadShape(Frozen):
+    __slots__ = ("imm", "block")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "imm", _sub(self.imm))
-        object.__setattr__(self, "block", _sub(self.block))
-        if self.block is not TOP and any(t < 0 or t > 255 for t in self.block):
+    def __init__(self, imm, block):
+        block = _sub(block)
+        if block is not TOP and block and (min(block) < 0 or max(block) > 255):
             raise ValueError("block tags must lie in [0, 255]")
+        _shape_imm(self, _sub(imm))
+        _shape_block(self, block)
 
 
+_shape_imm, _shape_block = setters(HeadShape)
 EMPTY_SHAPE = HeadShape(frozenset(), frozenset())
 TOP_SHAPE = HeadShape(TOP, TOP)
 

@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import itertools
+import pickle
 import time
 
 import pytest
@@ -94,7 +97,7 @@ class TestValidate:
 
 
 def spine(term):
-    """Names along the first-argument spine; `==` on deep terms recurses."""
+    """Names along the first-argument spine, and the leaf below it."""
     names = []
     while isinstance(term, C.App) and term.args:
         names.append(term.head.name)
@@ -220,6 +223,12 @@ class TestErase:
     def test_variable(self):
         assert C.erase(C.Var("x")) == C.Var("x")
 
+    def test_shared_nodes_stay_shared(self):
+        shared = ann("c", [ann("k")])
+        erased = C.erase(ann("g", [shared, ann("h", [shared])]))
+        assert erased == C.parse_program("g(c(k), h(c(k)))").root
+        assert erased.args[0] is erased.args[1].args[0]
+
     def test_reduced_successor_erases_to_one_plain_step(self):
         # the monitored steps are the plain steps: same path, name and term
         # before; the term after each is the next one's, or the normal form
@@ -241,6 +250,83 @@ class TestErase:
             if log and len(plain) == len(log):
                 nexts.append(O.fuel_normalize(program, strategy, len(log)).term)
             assert afters == nexts
+
+
+DEEP = 10_000
+
+
+def deep_term(leaf, n=DEEP):
+    """f(f(…f(leaf)…)), n applications deep, built afresh."""
+    term = C.App(C.Var(leaf), ())
+    for _ in range(n):
+        term = C.App(C.Var("f"), (term,))
+    return term
+
+
+SHARED_TRACE = linked(["g"] * (DEEP - 1))
+
+
+def deep_ann_term(leaf, first="g"):
+    """f(f(…leaf…)) annotated, DEEP applications deep. The root carries a
+    trace of DEEP nodes built afresh, whose first expansion is `first`; each
+    other application carries a fresh node over one shared trace."""
+    term = C.AnnApp(C.Var(leaf), (), None)
+    for _ in range(DEEP - 1):
+        term = C.AnnApp(C.Var("f"), (term,), (SHARED_TRACE, "g", DEEP))
+    return C.AnnApp(C.Var("f"), (term,), linked([first] + ["g"] * (DEEP - 1)))
+
+
+@pytest.mark.parametrize("build", [deep_term, deep_ann_term], ids=["term", "annotated"])
+def test_deep_equal_terms_compare_and_hash_without_recursion(build):
+    a, b, other = build("z"), build("z"), build("y")
+    assert a is not b
+    assert a == b and not a != b
+    assert hash(a) == hash(b)
+    assert a != other and not a == other
+
+
+def test_annotated_terms_that_differ_only_in_the_first_expansion():
+    a, b = deep_ann_term("z"), deep_ann_term("z", first="h")
+    assert a != b and not a == b
+    assert hash(a) == hash(b)  # the hash leaves the trace out
+    assert C.erase(a) == C.erase(b)
+
+
+def test_deep_equal_programs_compare_and_hash():
+    defs = (C.Definition("f", ("x",), C.App(C.Var("c"), (C.Var("x"),))),)
+    a, b = (C.Program(defs, deep_term("z")) for _ in range(2))
+    other = C.Program(defs, deep_term("y"))
+    assert a == b and not a != b
+    assert hash(a) == hash(b)
+    assert a != other and not a == other
+
+
+def test_equal_normal_forms_hash_equal():
+    checked = 0
+    for program in O.gen_programs(31, O.GenParams(count=60)):
+        lo, li = C.normalize(program, LO), C.normalize(program, LI)
+        if isinstance(lo, C.Normal) and isinstance(li, C.Normal):
+            reread = C.parse_program(C.render_term(lo.term)).root
+            assert lo.term == li.term == reread
+            assert hash(lo.term) == hash(li.term) == hash(reread)
+            checked += 1
+    assert checked > 20
+
+
+@pytest.mark.parametrize("node, text", [
+    (C.Var("x"), "Var(name='x')"),
+    (C.App(C.Var("f"), (C.Var("x"),)), "App(head=Var(name='f'), args=(Var(name='x'),))"),
+    (C.AnnApp(C.Var("f"), (), linked(["g"])),
+     "AnnApp(head=Var(name='f'), args=(), trace=(None, 'g', 1))"),
+], ids=["Var", "App", "AnnApp"])
+def test_nodes_are_immutable_values(node, text):
+    assert repr(node) == text
+    assert copy.copy(node) == node == pickle.loads(pickle.dumps(node))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        node.name = "y"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del node.name
+    assert node != C.Var("y") and C.App(C.Var("x")) != C.Var("x")
 
 
 def first_redex(program, term, strategy, frozen):

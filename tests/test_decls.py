@@ -1,6 +1,9 @@
 import contextlib
+import copy
+import dataclasses
 import hashlib
 import io
+import pickle
 import time
 
 import pytest
@@ -276,6 +279,52 @@ class TestDeepTypes:
         text = render_decls(ds)
         assert text.endswith(" = | U of " + "(" * DEPTH + "int" + ") box" * DEPTH + " [@unboxed]\n")
         assert render_decls(D.parse_decls(text)) == text
+
+    def test_deep_equal_types_and_programs_compare_and_hash(self):
+        def parsed(leaf):
+            # `box` is an encoding head, so the wrapper is named `bx`
+            return D.parse_decls("type 'a bx = B of 'a\ntype u = U of " + leaf + " bx" * DEPTH)
+
+        a, b, other = parsed("int"), parsed("int"), parsed("string")
+        ty_a, ty_b, ty_other = (ds[1].body.ctors[0].arg_types[0] for ds in (a, b, other))
+        assert ty_a is not ty_b
+        assert ty_a == ty_b and not ty_a != ty_b and a == b
+        assert hash(ty_a) == hash(ty_b) and hash(a[1]) == hash(b[1])
+        assert ty_a != ty_other and not ty_a == ty_other and a != other
+        pa, pb, po = (D.translate_to_program(ds, root="u") for ds in (a, b, other))
+        assert pa == pb and not pa != pb
+        assert hash(pa) == hash(pb)
+        assert pa != po and not pa == po
+
+
+class TestTypeNodes:
+    @pytest.mark.parametrize("node, text", [
+        (D.TVar("a"), "TVar(name='a')"),
+        (D.TyApp("t"), "TyApp(name='t', args=())"),
+        (D.PrimApp("int", (D.TVar("a"),)), "PrimApp(name='int', args=(TVar(name='a'),))"),
+        (D._RawRef("t", (), 1, 2), "_RawRef(name='t', args=(), line=1, col=2)"),
+        (S.HeadShape(S.TOP, {0}), "HeadShape(imm=top, block=frozenset({0}))"),
+    ], ids=["TVar", "TyApp", "PrimApp", "_RawRef", "HeadShape"])
+    def test_immutable_values(self, node, text):
+        assert repr(node) == text
+        assert copy.copy(node) == node == copy.deepcopy(node) == pickle.loads(pickle.dumps(node))
+        assert hash(copy.deepcopy(node)) == hash(node)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            node.name = "b"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del node.args
+
+    def test_equality_needs_the_same_class(self):
+        assert C.Var("x") != D.TVar("x") and not C.Var("x") == D.TVar("x")
+        assert D.TyApp("int") != D.PrimApp("int")
+        assert D.TyApp("t", (D.TVar("a"),)) == D.TyApp("t", (D.TVar("a"),))
+        assert D.TyApp("t", (D.TVar("a"),)) != D.TyApp("t", (D.TyApp("a"),))
+
+    def test_head_shapes_check_their_tags(self):
+        assert S.HeadShape([1, 1], iter([0, 255])) == shape({1}, {0, 255})
+        for tags in ([256], [-1, 3]):
+            with pytest.raises(ValueError, match=r"block tags must lie in \[0, 255\]"):
+                S.HeadShape(S.TOP, tags)
 
 
 class TestShapeOfSnf:
