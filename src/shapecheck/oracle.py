@@ -4,7 +4,7 @@ One plain (unmonitored) reduction machine, sharing no code with the
 monitored one it checks, behind fuel-bounded normalization, `plain_steps`
 and the two rejected monitoring strategies (whole-term repetition and
 head-function repetition); an outermost fuel run ends at once when a
-redex repeats inside itself (first-order) or a chain of compiled descents
+redex repeats inside itself (first-order) or a chain of prepared descents
 comes back to a definition, either of which proves divergence. Value
 enumeration with representation heads, both reading through abbreviations
 by one loop, and deterministic random corpus generators for programs,
@@ -17,6 +17,7 @@ import gc
 import random
 from dataclasses import dataclass, field
 from itertools import product
+from operator import itemgetter
 from typing import Callable, Mapping, Sequence
 
 from . import calculus, cppmacro
@@ -117,15 +118,14 @@ def _unfast(term) -> Term:
 
 
 def _compile_template(t, params: tuple[str, ...], defs: dict | None = None) -> Callable:
-    """Compile a fast term into `f(args)`, which builds the term with
-    argument i in place of parameter i. A subterm without parameters is one
-    constant, shared between all instantiations. The code is straight-line,
-    one local per application that mentions a parameter, in postorder:
-    nested tuple displays would stop at the parser's limit of 200 nested
-    parentheses. Heads and constants reach the code through the tuple `K`,
-    so the source holds only indices and local names, never program text.
+    """Prepare a fast term as a template `f(args)`, which builds the term
+    with argument i in place of parameter i. A subterm without parameters
+    is one constant, shared between all instantiations. An application
+    that mentions one is a step, in postorder, that fills its register in
+    `[*args, *blanks, *constants]` from those of its head and arguments;
+    constant k is register -1 - k, so that no register is renumbered.
 
-    Given the run's definitions (`_definitions`), it compiles instead the
+    Given the run's definitions (`_definitions`), it prepares instead the
     outermost machine's descent into the contractum, `f(args, stack,
     built)`. For each constructor on the body's leftmost spine (a constant
     name with arguments that is no definition of their number) it pushes
@@ -135,87 +135,86 @@ def _compile_template(t, params: tuple[str, ...], defs: dict | None = None) -> C
     in `defs` when its name and arity make it a redex, else with None."""
     index = {p: i for i, p in enumerate(params)}
     consts: list = []
-    const_at: dict = {}  # a string, or the id of any other constant -> its index in consts
+    const_at: dict = {}  # a string, or the id of any other constant -> its register
+    steps: list[tuple] = []  # (register, head register, argument getter)
 
-    def const(x) -> str:
+    def register(x) -> int:
+        """`x` if it is a register, else the register of the constant `x`."""
+        if type(x) is int:
+            return x
         key = x if type(x) is str else id(x)
         if key not in const_at:
-            const_at[key] = len(consts)
+            const_at[key] = -1 - len(consts)
             consts.append(x)
-        return f"k{const_at[key]}"
+        return const_at[key]
 
-    body: list[str] = []
-
-    def emit(t) -> tuple[bool, object]:
-        """Code that builds `t`: (True, `t` itself) if it has no parameter,
-        else (False, the local that holds it)."""
-        done: list = []  # per finished subtree: (True, the subterm) or (False, a local)
+    def emit(t):
+        """`t` itself if it has no parameter, else the register that holds it."""
+        done: list = []  # per finished subtree: the subterm or a register
         stack: list = [(t, False)]
         while stack:
             t, expanded = stack.pop()
             if type(t) is str:
-                done.append((False, f"a{index[t]}") if t in index else (True, t))
+                done.append(index.get(t, t))
             elif expanded:
                 n = 1 + len(t[1])
                 kids = done[-n:]
                 del done[-n:]
-                if all(folded for folded, _ in kids):
-                    done.append((True, t))
+                if not any(type(x) is int for x in kids):
+                    done.append(t)
                     continue
-                head, *args = [const(x) if folded else x for folded, x in kids]
-                body.append(f"    v{len(body)} = ({head}, ({''.join(a + ', ' for a in args)}))")
-                done.append((False, f"v{len(body) - 1}"))
+                head, *args = map(register, kids)
+                steps.append((len(params) + len(steps), head, _getter(args)))
+                done.append(steps[-1][0])
             else:
                 stack.append((t, True))
                 stack.extend((a, False) for a in reversed(t[1]))
                 stack.append((t[0], False))
         return done[0]
 
-    def name(t) -> str:
-        folded, x = emit(t)
-        return const(x) if folded else x
+    def static_def(t):  # (name, arity) of an application with a constant name head
+        if type(t) is tuple and type(t[0]) is str and t[0] not in index:
+            return t[0], len(t[1])
+        return None
+
+    frames: list[Callable] = []  # per spine node, a getter of its frame's children
+    heads: list[str] = []
+    while defs is not None and (key := static_def(t)) is not None and t[1] and key not in defs:
+        kids = (t[0], None, *map(emit, t[1][1:]))
+        if any(type(x) is int for x in kids):
+            frames.append(itemgetter(*map(register, kids)))
+        else:
+            frames.append(itemgetter(register(kids)))
+        heads.append(t[0])
+        t = t[1][0]
+    result = register(emit(t))
+    tail = (None,) * len(steps) + tuple(reversed(consts))
+
+    def fill(args) -> list:
+        regs = [*args, *tail]
+        for i, h, get in steps:
+            regs[i] = (regs[h], get(regs))
+        return regs
 
     if defs is None:
-        signature, result = "args", name(t)
-    else:
-        def static_def(t):  # (name, arity) of an application with a constant name head
-            if type(t) is tuple and type(t[0]) is str and t[0] not in index:
-                return t[0], len(t[1])
-            return None
+        return lambda args: fill(args)[result]
+    entry = defs.get(static_def(t))
 
-        frames: list[str] = []
-        heads: list[str] = []
-        while (key := static_def(t)) is not None and t[1] and key not in defs:
-            rest = [emit(a) for a in t[1][1:]]
-            if all(folded for folded, _ in rest):
-                kids = const((t[0], None, *(x for _, x in rest)))
-            else:
-                names = [const(x) if folded else x for folded, x in rest]
-                kids = f"({', '.join([const(t[0]), 'None', *names])})"
-            frames.append(f"({kids}, s + {len(frames)})" if frames else f"({kids}, s)")
-            heads.append(t[0])
-            t = t[1][0]
-        key = static_def(t)
-        signature = "args, stack, built"
-        result = f"{name(t)}, {const(defs[key]) if key in defs else None}"
-        if frames:
-            body += [
-                "    s = len(built)",
-                f"    stack += ({''.join(f + ', ' for f in frames)})",
-                f"    built += {const(tuple(heads))}",
-            ]
-    source = "\n".join([
-        "def make(K):",
-        f"  ({''.join(f'k{i}, ' for i in range(len(consts)))}) = K",
-        f"  def f({signature}):",
-        f"    ({''.join(f'a{i}, ' for i in range(len(params)))}) = args",
-        *body,
-        f"    return {result}",
-        "  return f",
-    ])
-    scope: dict = {}
-    exec(compile(source, "<template>", "exec"), scope)
-    return scope.pop("make")(tuple(consts))
+    def descend(args, stack, built):
+        regs = fill(args)
+        s = len(built)
+        for j, kids in enumerate(frames):
+            stack.append((kids(regs), s + j))
+        built += heads
+        return regs[result], entry
+    return descend
+
+
+def _getter(registers: list[int]) -> Callable:
+    """`itemgetter(*registers)`, but a tuple also for one or no index."""
+    if len(registers) == 1:
+        return lambda regs, i=registers[0]: (regs[i],)
+    return itemgetter(*registers) if registers else lambda regs: ()
 
 
 def _whole(focus, stack: list, built: list):
@@ -229,8 +228,8 @@ def _whole(focus, stack: list, built: list):
 
 
 def _definitions(program: Program) -> dict:
-    """(name, arity) -> [descend, build]: the two forms of a definition
-    that `_compile_template` makes, each compiled on its first call, since
+    """(name, arity) -> [descend, build]: the two templates of a definition
+    that `_compile_template` prepares, each on its first call, since
     innermost runs never descend and a short run reaches few definitions.
     The entries hold each other (a descent returns the next redex's entry)
     and so form cycles, which the run breaks when it ends."""
@@ -284,7 +283,7 @@ def _plain_run(program: Program, strategy: Strategy, fuel: int,
     down, and a parent again once its head is rewritten, since a new head
     may make the parent a redex. Innermost tests a node once its children
     are done, passing over the last redex's arguments, which are normal.
-    Each definition is compiled by `_compile_template`: innermost and a
+    Each definition has two templates (`_compile_template`): innermost and a
     head redex build the contractum and walk it; any other outermost redex
     is contracted by the definition's descent, which also takes the moves
     down the body's constructor spine, and without an observer the next
@@ -314,7 +313,7 @@ def _plain_run(program: Program, strategy: Strategy, fuel: int,
     `OutOfFuel(fuel)` once one unbroken pass of the chained loop has made
     `len(defs)` contractions and still holds an entry. The proof reads only
     the machine: the entry that a descent returns is a constant of its
-    compiled code, so in a pass each entry is a fixed function of the one
+    template, so in a pass each entry is a fixed function of the one
     before. Of the pass's `len(defs) + 1` entries two are then equal
     (pigeonhole), so the entries cycle and are never None, and only the
     fuel, or the repeat proof, ends the pass: the run would spend exactly

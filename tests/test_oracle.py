@@ -306,18 +306,26 @@ class TestCompiledTemplates:
         assert f((fun, arg)) == (fun, (arg, fun))
         assert compiled("let rec i(x) = x in i(k)", "i")((arg,)) is arg
 
-    def test_the_generated_code_holds_no_program_text(self):
-        text = ("let rec swap(x, y) = pair(y, cons(x, nil)) and pair(u, v) = u"
-                " and spine(x) = cons(cons(pair(x, nil), x), nil) in swap(k, k)")
-        for f in [compiled(text, "swap"), compiled(text, "swap", descent=True),
-                  compiled(text, "spine", descent=True)]:
-            code = f.__code__
-            names = set(code.co_varnames + code.co_names + code.co_freevars + code.co_cellvars)
-            assert names.isdisjoint({"swap", "pair", "cons", "nil", "spine",
-                                     "x", "y", "u", "v", "k"})
-            assert not [c for c in code.co_consts if isinstance(c, str)]
-            # taken out of its exec namespace: no function <-> globals cycle
-            assert all(v is not f for v in f.__globals__.values())
+    def test_a_parameter_applied_to_no_arguments(self):
+        text = "let rec ap(x) = c(x(), x) and g() = m in ap(g)"
+        assert compiled(text, "ap", C.Mode.CLOSED_HIGHER_ORDER)(("g",)) == ("c", (("g", ()), "g"))
+        p = C.parse_program(text, C.Mode.CLOSED_HIGHER_ORDER)
+        want = O.FuelNormal(C.parse_program("c(m, g)", C.Mode.CLOSED_HIGHER_ORDER).root, 2)
+        assert O.fuel_normalize(p, LO) == O.fuel_normalize(p, LI) == want
+
+    @pytest.mark.parametrize("mode", list(C.Mode))
+    @pytest.mark.parametrize("strategy", [LO, LI])
+    def test_no_run_compiles_or_executes_code(self, monkeypatch, mode, strategy):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the plain machine generated code")
+
+        programs = O.gen_programs(5, O.GenParams(count=60, mode=mode))
+        with monkeypatch.context() as m:  # undone before pytest reports a failure
+            m.setattr("builtins.exec", refuse)
+            m.setattr("builtins.compile", refuse)
+            for program in programs:
+                O.fuel_normalize(program, strategy, 300)
+                O.plain_steps(program, strategy, 5)
 
     def test_a_descent_pushes_the_spine_and_returns_the_next_redex(self):
         p = C.parse_program("let rec f(x) = c(d(g(x), x, k), m) and g(y) = y in f(k)")
